@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race fuzz-smoke bench-smoke loadgen-smoke benchscale-smoke replication-smoke check bench bench-e19 bench-wire bench-scale bench-replica
+.PHONY: all build test vet race fuzz-smoke bench-smoke loadgen-smoke benchscale-smoke replication-smoke check bench bench-e19 bench-wire bench-scale
 
 all: check
 
@@ -25,14 +25,17 @@ vet:
 # events racing worker turns) are concurrency properties; run their tests
 # under the race detector.
 race:
-	$(GO) test -race -count=1 ./internal/directory/... ./internal/um/... ./internal/ltap/... ./internal/filter/... ./internal/device/... ./internal/ber/... ./internal/ldapserver/... ./internal/ldapclient/... ./internal/replica/...
+	$(GO) test -race -count=1 ./internal/directory/... ./internal/um/... ./internal/ltap/... ./internal/filter/... ./internal/device/... ./internal/ber/... ./internal/ldapserver/... ./internal/ldapclient/... ./internal/replica/... ./internal/record/...
 
 # Multi-master smoke: a two-node mesh, a write accepted on each side, and a
-# conflicting same-DN write — both trees must converge to one winner. Plus a
-# short benchreplica pass so the E23 harness cannot rot.
+# conflicting same-DN write — both trees must converge to one winner. Plus
+# the benchmark module's own tests and a short mesh_restart pass (cold
+# starts, a join over the replication stream, writes followed to the peer):
+# bench/ is a module of its own, so `go test ./...` never builds it.
 replication-smoke:
 	$(GO) test -run TestMultiMasterWritesAnywhereConverge -count=1 .
-	$(GO) run ./cmd/benchreplica -max-nodes 2 -conns 16 -duration 1s -entries 200 -join-entries 2000 -out /tmp/bench_replica_smoke.json
+	cd bench && $(GO) test ./...
+	bash bench/run.sh --workload mesh_restart -short
 
 # Ten seconds per fuzz target: enough to shake out decoder/parser panics on
 # every run without turning check into a fuzzing campaign. The checked-in
@@ -41,7 +44,8 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s ./internal/ber/
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/lexpress/
 	$(GO) test -fuzz=FuzzCompilePattern -fuzztime=10s ./internal/lexpress/
-	$(GO) test -fuzz=FuzzJournalV2Record -fuzztime=10s ./internal/directory/
+	$(GO) test -fuzz=FuzzJournalV2Record -fuzztime=10s ./internal/record/
+	$(GO) test -fuzz=FuzzReplicaStream -fuzztime=10s ./internal/replica/
 
 # One iteration of every benchmark: catches harness rot without the cost of
 # a real measurement run.
@@ -92,10 +96,3 @@ bench-wire:
 # POPS, SEGMENTS, OPS (see scripts/bench_scale.sh).
 bench-scale:
 	sh scripts/bench_scale.sh
-
-# The replication benchmark behind EXPERIMENTS.md E23: read throughput of a
-# 1/2/3-node multi-master mesh plus new-node join catch-up rate. Writes
-# BENCH_replica_<rev>.json at the repo root. Tunables: CONNS, DURATION,
-# ENTRIES, JOIN_ENTRIES (see scripts/bench_replica.sh).
-bench-replica:
-	sh scripts/bench_replica.sh

@@ -26,7 +26,7 @@ func buildTools(t *testing.T) string {
 		if buildErr != nil {
 			return
 		}
-		for _, tool := range []string{"ldapcli", "lexc", "pbxadmin", "metacommd"} {
+		for _, tool := range []string{"ldapcli", "lexc", "pbxadmin", "metacommd", "replicad"} {
 			cmd := exec.Command("go", "build", "-o", filepath.Join(binDir, tool), "./cmd/"+tool)
 			cmd.Env = os.Environ()
 			if out, err := cmd.CombinedOutput(); err != nil {
@@ -150,6 +150,44 @@ func TestCLIPBXAdminDrivesDDUs(t *testing.T) {
 	}
 	if out, err := runTool(t, "pbxadmin", "-addr", addr, "remove", "2-6200"); err != nil {
 		t.Fatalf("pbxadmin remove: %v\n%s", err, out)
+	}
+}
+
+// TestCLIReplicadFollows runs the read-only follower as its own process: it
+// must catch up on what the node already holds, follow live writes (the
+// device-generated write-back included), and refuse writes of its own.
+func TestCLIReplicadFollows(t *testing.T) {
+	s := startSystem(t, metacomm.Config{ReplicationAddr: "127.0.0.1:0"})
+	c := client(t, s)
+	if err := c.Add(johnDN, johnDoeAttrs()); err != nil {
+		t.Fatal(err)
+	}
+	addr := freePort(t)
+	cmd := exec.Command(filepath.Join(buildTools(t), "replicad"), "-from", s.ReplicationAddrActual, "-ldap", addr)
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	})
+	search := func(name string) (string, error) {
+		return runTool(t, "ldapcli", "-addr", addr, "search", "o=Lucent", "(cn="+name+")")
+	}
+	waitFor(t, "replicad to catch up", func() bool {
+		out, err := search("John Doe")
+		return err == nil && strings.Contains(out, "mailboxId: MBX")
+	})
+	if err := c.Modify(johnDN, []ldap.Change{{Op: ldap.ModReplace,
+		Attribute: ldap.Attribute{Type: "roomNumber", Values: []string{"9Z-999"}}}}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "replicad to follow a live write", func() bool {
+		out, err := search("John Doe")
+		return err == nil && strings.Contains(out, "roomNumber: 9Z-999")
+	})
+	if out, err := runTool(t, "ldapcli", "-addr", addr, "modify", johnDN, "replace:roomNumber=X"); err == nil {
+		t.Fatalf("replicad accepted a write:\n%s", out)
 	}
 }
 

@@ -31,6 +31,7 @@ func main() {
 	flag.Parse()
 
 	r := replica.New(*from, mcschema.New())
+	r.ErrorLog = log.Default()
 	r.Start()
 	defer r.Stop()
 

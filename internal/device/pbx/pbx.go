@@ -189,10 +189,13 @@ func (p *PBX) serve(nc net.Conn) {
 				reply("error 3 usage: monitor on")
 				continue
 			}
-			if !reply("ok") {
-				return
+			// Subscribe BEFORE acknowledging: a commit made once the client
+			// has read "ok" must reach it.
+			ch := p.Store.Subscribe()
+			if reply("ok") {
+				p.monitor(nc, w, ch)
 			}
-			p.monitor(nc, w)
+			p.Store.Unsubscribe(ch)
 			return
 		case "add":
 			p.handleAdd(session, fields, reply)
@@ -336,9 +339,7 @@ func encodeFields(rec lexpress.Record) string {
 }
 
 // monitor streams notify blocks to a monitor connection until it drops.
-func (p *PBX) monitor(nc net.Conn, w *bufio.Writer) {
-	ch := p.Store.Subscribe()
-	defer p.Store.Unsubscribe(ch)
+func (p *PBX) monitor(nc net.Conn, w *bufio.Writer, ch <-chan device.Notification) {
 	// Drain any input; when the peer (or Close) drops the connection the
 	// read fails and done unblocks the notification loop below.
 	done := make(chan struct{})

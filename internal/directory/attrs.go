@@ -14,6 +14,8 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
+
+	"metacomm/internal/record"
 )
 
 // Attrs is a case-insensitive multi-valued attribute map. Attribute type
@@ -24,8 +26,8 @@ import (
 // entries carry a handful of attributes, so linear scans beat hashing, and
 // the per-entry footprint is one slice header plus one attrField per
 // attribute — with both the lowered key and the display spelling interned
-// (see intern.go), a million entries share one string object per distinct
-// attribute name instead of storing a million copies.
+// (see internal/record), a million entries share one string object per
+// distinct attribute name instead of storing a million copies.
 type Attrs struct {
 	fields []attrField
 	// view caches the deterministic iteration order used by Names and
@@ -37,12 +39,10 @@ type Attrs struct {
 }
 
 // attrField is one attribute: its lowered (canonical) key, its first-seen
-// display spelling, and its values. key and display are interned.
-type attrField struct {
-	key     string
-	display string
-	vals    []string
-}
+// display spelling, and its values; Key and Display are interned. It is the
+// codec's field type, so a journal or replication frame decodes straight
+// into an Attrs and encodes straight out of one.
+type attrField = record.Field
 
 // sortedView is the cached iteration order: field indices sorted by lowered
 // key (which is exactly case-insensitive order of the display spellings).
@@ -60,7 +60,7 @@ func (a *Attrs) sorted() *sortedView {
 		v.order[i] = i
 	}
 	sort.Slice(v.order, func(i, j int) bool {
-		return a.fields[v.order[i]].key < a.fields[v.order[j]].key
+		return a.fields[v.order[i]].Key < a.fields[v.order[j]].Key
 	})
 	a.view.Store(v)
 	return v
@@ -81,22 +81,13 @@ func AttrsFrom(m map[string][]string) *Attrs {
 	return a
 }
 
-// lower canonicalizes an attribute type name. Names are ASCII in practice,
-// so the common all-lower spelling returns its input unchanged with no
-// allocation.
-func lower(s string) string {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; 'A' <= c && c <= 'Z' {
-			return strings.ToLower(s)
-		}
-	}
-	return s
-}
+// lower canonicalizes an attribute type name.
+func lower(s string) string { return record.Lower(s) }
 
 // idx returns the field index for the (already lowered) key, or -1.
 func (a *Attrs) idx(k string) int {
 	for i := range a.fields {
-		if a.fields[i].key == k {
+		if a.fields[i].Key == k {
 			return i
 		}
 	}
@@ -107,7 +98,7 @@ func (a *Attrs) idx(k string) int {
 // shared; callers must not mutate it.
 func (a *Attrs) Get(attr string) []string {
 	if i := a.idx(lower(attr)); i >= 0 {
-		return a.fields[i].vals
+		return a.fields[i].Vals
 	}
 	return nil
 }
@@ -146,10 +137,10 @@ func (a *Attrs) Put(attr string, values ...string) {
 	}
 	vals := append([]string(nil), values...)
 	if i >= 0 {
-		a.fields[i].vals = vals
+		a.fields[i].Vals = vals
 		return
 	}
-	a.fields = append(a.fields, attrField{key: intern(k), display: intern(attr), vals: vals})
+	a.fields = append(a.fields, attrField{Key: record.Intern(k), Display: record.Intern(attr), Vals: vals})
 }
 
 // Add appends a value to attr, refusing duplicates (LDAP sets have no
@@ -161,10 +152,10 @@ func (a *Attrs) Add(attr, value string) bool {
 	a.view.Store(nil)
 	k := lower(attr)
 	if i := a.idx(k); i >= 0 {
-		a.fields[i].vals = append(a.fields[i].vals, value)
+		a.fields[i].Vals = append(a.fields[i].Vals, value)
 		return true
 	}
-	a.fields = append(a.fields, attrField{key: intern(k), display: intern(attr), vals: []string{value}})
+	a.fields = append(a.fields, attrField{Key: record.Intern(k), Display: record.Intern(attr), Vals: []string{value}})
 	return true
 }
 
@@ -175,7 +166,7 @@ func (a *Attrs) DeleteValue(attr, value string) bool {
 	if i < 0 {
 		return false
 	}
-	vs := a.fields[i].vals
+	vs := a.fields[i].Vals
 	for vi, v := range vs {
 		if strings.EqualFold(v, value) {
 			a.view.Store(nil)
@@ -183,7 +174,7 @@ func (a *Attrs) DeleteValue(attr, value string) bool {
 			if len(vs) == 0 {
 				a.fields = append(a.fields[:i], a.fields[i+1:]...)
 			} else {
-				a.fields[i].vals = vs
+				a.fields[i].Vals = vs
 			}
 			return true
 		}
@@ -209,7 +200,7 @@ func (a *Attrs) Names() []string {
 	v := a.sorted()
 	out := make([]string, len(v.order))
 	for i, fi := range v.order {
-		out[i] = a.fields[fi].display
+		out[i] = a.fields[fi].Display
 	}
 	return out
 }
@@ -222,7 +213,7 @@ func (a *Attrs) Names() []string {
 func (a *Attrs) EachSorted(f func(attr string, values []string)) {
 	v := a.sorted()
 	for _, fi := range v.order {
-		f(a.fields[fi].display, a.fields[fi].vals)
+		f(a.fields[fi].Display, a.fields[fi].Vals)
 	}
 }
 
@@ -237,7 +228,7 @@ func (a *Attrs) Clone() *Attrs {
 		c.fields = make([]attrField, len(a.fields))
 		copy(c.fields, a.fields)
 		for i := range c.fields {
-			c.fields[i].vals = append([]string(nil), c.fields[i].vals...)
+			c.fields[i].Vals = append([]string(nil), c.fields[i].Vals...)
 		}
 	}
 	return c
@@ -247,7 +238,7 @@ func (a *Attrs) Clone() *Attrs {
 func (a *Attrs) Map() map[string][]string {
 	out := make(map[string][]string, len(a.fields))
 	for i := range a.fields {
-		out[a.fields[i].display] = append([]string(nil), a.fields[i].vals...)
+		out[a.fields[i].Display] = append([]string(nil), a.fields[i].Vals...)
 	}
 	return out
 }
@@ -260,12 +251,12 @@ func (a *Attrs) Equal(b *Attrs) bool {
 	}
 	for i := range a.fields {
 		f := &a.fields[i]
-		ws := b.Get(f.key)
-		if len(f.vals) != len(ws) {
+		ws := b.Get(f.Key)
+		if len(f.Vals) != len(ws) {
 			return false
 		}
-		for _, v := range f.vals {
-			if !b.HasValue(f.key, v) {
+		for _, v := range f.Vals {
+			if !b.HasValue(f.Key, v) {
 				return false
 			}
 		}

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"sort"
 	"time"
+
+	"metacomm/internal/record"
 )
 
 // Incremental, online compaction. A journal grows with every update; a
@@ -121,27 +123,26 @@ func (d *DIT) compactSegment(s *segment) error {
 		s.mu.Unlock()
 		return err
 	}
-	type compactEnt struct {
-		searchCand
-		stamp Stamp
-	}
-	snap := make([]compactEnt, 0, len(s.entries))
+	snap := make([]snapEnt, 0, len(s.entries))
 	for k, n := range s.entries {
-		snap = append(snap, compactEnt{searchCand{dn: n.dn, key: k, attrs: n.attrs}, n.stamp})
+		snap = append(snap, snapEnt{dn: n.dn, key: k, attrs: n.attrs, stamp: n.stamp})
 	}
 	// Tombstones survive compaction too (as trailing stamped delete
 	// records) — without them a restarted node would forget its deletes
 	// and let stale remote upserts resurrect entries.
-	tombs := make([]ReplTombstone, 0, len(s.tombstones))
+	live := len(snap)
 	for k, ts := range s.tombstones {
-		tombs = append(tombs, ReplTombstone{Key: k, Stamp: ts})
+		snap = append(snap, snapEnt{key: k, stamp: ts})
 	}
 	s.mu.Unlock()
-	sort.Slice(tombs, func(i, j int) bool { return tombs[i].Key < tombs[j].Key })
 
-	// Parents before children within the segment — replay does not need it
-	// (relaxed replay is entry-local), but humans reading a journal do.
+	// Parents before children within the segment, tombstones last — replay
+	// does not need it (relaxed replay is entry-local), but humans reading
+	// a journal do.
 	sort.Slice(snap, func(i, j int) bool {
+		if ti, tj := snap[i].attrs == nil, snap[j].attrs == nil; ti != tj {
+			return tj
+		}
 		if di, dj := snap[i].dn.Depth(), snap[j].dn.Depth(); di != dj {
 			return di < dj
 		}
@@ -162,41 +163,23 @@ func (d *DIT) compactSegment(s *segment) error {
 	case FormatJSON:
 		enc := json.NewEncoder(w)
 		for i := range snap {
-			rec := UpdateRecord{Op: "entry", DN: snap[i].dn.String(), Attrs: snap[i].attrs.Map(),
+			rec := UpdateRecord{Op: "delete", DN: snap[i].key,
 				OriginSeq: snap[i].stamp.Seq, OriginNode: snap[i].stamp.Node}
-			if err := enc.Encode(&rec); err != nil {
-				f.Close()
-				return err
+			if i < live {
+				rec.Op, rec.DN, rec.Attrs = "entry", snap[i].dn.String(), snap[i].attrs.Map()
 			}
-		}
-		for _, tb := range tombs {
-			rec := UpdateRecord{Op: "delete", DN: tb.Key,
-				OriginSeq: tb.Stamp.Seq, OriginNode: tb.Stamp.Node}
 			if err := enc.Encode(&rec); err != nil {
 				f.Close()
 				return err
 			}
 		}
 	default:
-		var enc v2Encoder
+		var enc record.Encoder
 		var bin []byte
+		var rec record.Record
 		for i := range snap {
-			rec := UpdateRecord{Op: "entry", DN: snap[i].dn.String(), attrsDec: snap[i].attrs, normKey: snap[i].key,
-				OriginSeq: snap[i].stamp.Seq, OriginNode: snap[i].stamp.Node}
-			bin, err = enc.appendRecord(bin[:0], &rec)
-			if err != nil {
-				f.Close()
-				return err
-			}
-			if _, err := w.Write(bin); err != nil {
-				f.Close()
-				return err
-			}
-		}
-		for _, tb := range tombs {
-			rec := UpdateRecord{Op: "delete", DN: tb.Key,
-				OriginSeq: tb.Stamp.Seq, OriginNode: tb.Stamp.Node}
-			bin, err = enc.appendRecord(bin[:0], &rec)
+			snap[i].record(&rec)
+			bin, err = enc.AppendRecord(bin[:0], &rec)
 			if err != nil {
 				f.Close()
 				return err
@@ -291,7 +274,7 @@ func (d *DIT) compactSegment(s *segment) error {
 
 	d.compactRuns.Add(1)
 	d.compactSpliced.Add(uint64(spliced))
-	d.compactEntries.Add(uint64(len(snap)))
+	d.compactEntries.Add(uint64(live))
 	d.compactLastNs.Store(time.Since(start).Nanoseconds())
 	return nil
 }

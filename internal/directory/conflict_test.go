@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"metacomm/internal/dn"
+	"metacomm/internal/record"
 )
 
 // remoteOp is one replicated record as a peer would deliver it.
@@ -37,23 +38,61 @@ func applyOps(t *testing.T, d *DIT, ops []remoteOp) {
 	}
 }
 
+// wireOps converts ops to the records a link hands ApplyRemoteBatch.
+func wireOps(ops []remoteOp) []record.Record {
+	recs := make([]record.Record, len(ops))
+	for i, op := range ops {
+		recs[i] = record.Record{Op: "delete", DN: op.name, OriginSeq: op.stamp.Seq, OriginNode: op.stamp.Node}
+		if !op.deleted {
+			recs[i].Op, recs[i].Fields = "entry", op.image.fields
+		}
+	}
+	return recs
+}
+
+// applyBatch delivers the ops as ONE batch — what a link does with records
+// that arrived together — tolerating LWW losers like applyOps.
+func applyBatch(t *testing.T, d *DIT, ops []remoteOp) {
+	t.Helper()
+	out, err := d.ApplyRemoteBatch(wireOps(ops))
+	if err != nil {
+		t.Fatalf("ApplyRemoteBatch: %v", err)
+	}
+	for i, res := range out {
+		if res.Err != nil {
+			t.Fatalf("ApplyRemoteBatch(%s, %v): %v", ops[i].name, ops[i].stamp, res.Err)
+		}
+	}
+}
+
 // bothOrders asserts the op sequence converges to the same fingerprint no
 // matter which delivery order a node sees — the heart of the LWW argument:
-// per-entry resolution is a join, so apply order cannot matter.
+// per-entry resolution is a join, so apply order cannot matter — and no
+// matter whether the records arrive one at a time or all in one batch.
 func bothOrders(t *testing.T, ops []remoteOp) (fwd *DIT) {
 	t.Helper()
-	// Same node id on both: the locally-added suffix then carries the same
-	// stamp, so any fingerprint difference is the delivery order's doing.
-	a := conflictDIT(t, 10)
-	b := conflictDIT(t, 10)
-	applyOps(t, a, ops)
 	rev := make([]remoteOp, len(ops))
 	for i, op := range ops {
 		rev[len(ops)-1-i] = op
 	}
-	applyOps(t, b, rev)
-	if fa, fb := a.Fingerprint(), b.Fingerprint(); fa != fb {
-		t.Fatalf("delivery order changed the tree:\n forward %s\n reverse %s", fa, fb)
+	// Same node id on all: the locally-added suffix then carries the same
+	// stamp, so any fingerprint difference is the delivery's doing.
+	a := conflictDIT(t, 10)
+	applyOps(t, a, ops)
+	want := a.Fingerprint()
+	for _, c := range []struct {
+		how     string
+		deliver func(*DIT)
+	}{
+		{"reverse order", func(d *DIT) { applyOps(t, d, rev) }},
+		{"one batch", func(d *DIT) { applyBatch(t, d, ops) }},
+		{"one batch, reverse order", func(d *DIT) { applyBatch(t, d, rev) }},
+	} {
+		d := conflictDIT(t, 10)
+		c.deliver(d)
+		if got := d.Fingerprint(); got != want {
+			t.Fatalf("delivery (%s) changed the tree:\n forward %s\n got     %s", c.how, want, got)
+		}
 	}
 	return a
 }
@@ -172,6 +211,72 @@ func TestConflictDuplicateDeliveryIdempotent(t *testing.T) {
 			t.Fatalf("duplicate of %s/%v reported Applied", op.name, op.stamp)
 		}
 	}
+}
+
+// TestConflictBatchSemantics pins what one batch may and may not change
+// about per-record resolution: a duplicate inside the batch is a no-op, the
+// outcomes line up with the records, a structural conflict is reported on
+// its own record without stopping the ones after it, and the whole batch is
+// one commit group in the changelog's order.
+func TestConflictBatchSemantics(t *testing.T) {
+	d := conflictDIT(t, 10)
+	_, changes, cancel := d.SnapshotAndSubscribe(16)
+	defer cancel()
+	r1 := AttrsFrom(map[string][]string{"objectClass": {"person"}, "cn": {"B"}, "roomNumber": {"R1"}})
+	ops := []remoteOp{
+		{"cn=B,o=Lucent", person("B"), Stamp{Seq: 2, Node: 1}, false},
+		{"cn=B,o=Lucent", person("B"), Stamp{Seq: 2, Node: 1}, false}, // duplicate
+		{"cn=Kid,ou=Gone,o=Lucent", person("Kid"), Stamp{Seq: 3, Node: 2}, false},
+		{"cn=B,o=Lucent", r1, Stamp{Seq: 5, Node: 1}, false},
+		{"cn=B,o=Lucent", nil, Stamp{Seq: 4, Node: 2}, true}, // older than the image above
+		{"cn=C,o=Lucent", nil, Stamp{Seq: 6, Node: 2}, true}, // tombstone-only
+		{"cn=C,o=Lucent", person("C"), Stamp{Seq: 5, Node: 1}, false},
+	}
+	out, err := d.ApplyRemoteBatch(wireOps(ops))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var applied []bool
+	for _, res := range out {
+		applied = append(applied, res.Applied)
+	}
+	if want := []bool{true, false, false, true, false, true, false}; !equalBools(applied, want) {
+		t.Fatalf("Applied = %v, want %v", applied, want)
+	}
+	if out[2].Err == nil {
+		t.Fatal("orphan upsert reported no structural conflict")
+	}
+	if out[0].Old != nil || out[3].Old != out[0].New || out[3].New.First("roomNumber") != "R1" {
+		t.Fatalf("before/after images do not line up with the records: %+v", out)
+	}
+	e, err := d.Get(dn.MustParse("cn=B,o=Lucent"))
+	if err != nil || e.Attrs.First("roomNumber") != "R1" {
+		t.Fatalf("cn=B after the batch: %v, %v", e, err)
+	}
+	if _, err := d.Get(dn.MustParse("cn=C,o=Lucent")); err == nil {
+		t.Fatal("an upsert older than a tombstone in the same batch resurrected the entry")
+	}
+	// Three winners, emitted in batch order under consecutive commit seqs.
+	var seqs []uint64
+	for len(seqs) < 3 {
+		rec := <-changes
+		seqs = append(seqs, rec.Seq)
+	}
+	if seqs[1] != seqs[0]+1 || seqs[2] != seqs[1]+1 || d.Seq() != seqs[2] {
+		t.Fatalf("winners' commit seqs %v, tree at %d", seqs, d.Seq())
+	}
+}
+
+func equalBools(a, b []bool) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func TestConflictStructuralSkip(t *testing.T) {

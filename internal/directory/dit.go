@@ -8,6 +8,7 @@ import (
 
 	"metacomm/internal/dn"
 	"metacomm/internal/ldap"
+	"metacomm/internal/record"
 )
 
 // Error is a directory error carrying an LDAP result code.
@@ -374,7 +375,7 @@ func (d *DIT) addLocked(sa, sp *segment, name dn.DN, key, parentKey string, a *A
 	delete(sa.tombstones, key)
 	d.count.Add(1)
 	seq := d.seq.Add(1)
-	rec := UpdateRecord{Seq: seq, Op: "add", DN: name.String(), Attrs: a.Map(),
+	rec := UpdateRecord{Seq: seq, Op: "add", DN: name.String(), Attrs: a.Map(), attrsDec: a,
 		OriginSeq: st.Seq, OriginNode: st.Node, post: a}
 	return d.commitLocked(sa, rec), nil
 }
@@ -914,7 +915,7 @@ type DITStats struct {
 
 // Stats snapshots entry distribution across segments.
 func (d *DIT) Stats() DITStats {
-	st := DITStats{Segments: len(d.segs), SegmentEntries: make([]int, len(d.segs)), InternedNames: InternedNames()}
+	st := DITStats{Segments: len(d.segs), SegmentEntries: make([]int, len(d.segs)), InternedNames: record.InternedNames()}
 	for i, s := range d.segs {
 		s.mu.RLock()
 		st.SegmentEntries[i] = len(s.entries)

@@ -15,6 +15,7 @@ import (
 
 	"metacomm/internal/dn"
 	"metacomm/internal/ldap"
+	"metacomm/internal/record"
 )
 
 // Durability. The paper's directory world handles system and media failure
@@ -97,11 +98,7 @@ func (r *UpdateRecord) attrsValue() *Attrs {
 }
 
 // UpdateChange is one modification inside an UpdateRecord.
-type UpdateChange struct {
-	Op     string   `json:"op"` // add | delete | replace
-	Attr   string   `json:"attr"`
-	Values []string `json:"values,omitempty"`
-}
+type UpdateChange = record.Change
 
 // SyncMode selects when an appended record becomes durable relative to its
 // writer's acknowledgment.
@@ -158,7 +155,7 @@ func ParseSyncMode(s string) (SyncMode, error) {
 type JournalFormat int
 
 const (
-	// FormatV2 is the CRC-framed binary record codec (journalv2.go).
+	// FormatV2 is the CRC-framed binary record codec (internal/record).
 	FormatV2 JournalFormat = iota
 	// FormatJSON is the legacy newline-delimited JSON encoding.
 	FormatJSON
@@ -397,7 +394,7 @@ type committer struct {
 	buf  bytes.Buffer
 	enc  *json.Encoder
 	bin  []byte
-	enc2 v2Encoder
+	enc2 record.Encoder
 
 	// Stats, guarded by mu except the atomics.
 	appends  uint64
@@ -436,14 +433,16 @@ func (c *committer) ready() error {
 	return nil
 }
 
-// stage enqueues one sequenced record. Called with the segment lock held,
-// which is what guarantees queue order == this segment's commit order ==
-// journal file order (global seqs are taken under the same lock, so the
-// queue is seq-ascending too).
-func (c *committer) stage(rec UpdateRecord) {
+// stage enqueues one sequenced record, or a seq-ascending run of them as
+// one unit (a remote batch: one wake-up, so the run lands in as few commit
+// groups as MaxBatch allows). Called with the segment lock held, which is
+// what guarantees queue order == this segment's commit order == journal
+// file order (global seqs are taken under the same lock, so the queue is
+// seq-ascending too).
+func (c *committer) stage(recs ...UpdateRecord) {
 	c.mu.Lock()
-	c.queue = append(c.queue, rec)
-	c.staged = rec.Seq
+	c.queue = append(c.queue, recs...)
+	c.staged = recs[len(recs)-1].Seq
 	c.mu.Unlock()
 	c.work.Signal()
 }
@@ -612,7 +611,7 @@ func (c *committer) writeGroup(batch []UpdateRecord) (int, error) {
 	var err error
 	c.bin = c.bin[:0]
 	for i := range batch {
-		if c.bin, err = c.enc2.appendRecord(c.bin, &batch[i]); err != nil {
+		if c.bin, err = appendRecord(&c.enc2, c.bin, &batch[i]); err != nil {
 			return 0, err
 		}
 	}
@@ -710,7 +709,7 @@ func (d *DIT) journalRenameParts(seq uint64, st Stamp, moves []renameMove) error
 			OriginSeq: st.Seq, OriginNode: st.Node})
 		nd := m.nd
 		appendRec(d.seg(nd.key), UpdateRecord{Seq: seq, Op: "entry", DN: nd.dn.String(),
-			Attrs: nd.attrs.Map(), OriginSeq: st.Seq, OriginNode: st.Node})
+			Attrs: nd.attrs.Map(), attrsDec: nd.attrs, OriginSeq: st.Seq, OriginNode: st.Node})
 	}
 	for _, s := range order {
 		if err := s.commit.flush(); err != nil {
@@ -719,7 +718,7 @@ func (d *DIT) journalRenameParts(seq uint64, st Stamp, moves []renameMove) error
 	}
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	var enc2 v2Encoder
+	var enc2 record.Encoder
 	var bin []byte
 	for _, s := range order {
 		recs := bySeg[s]
@@ -736,7 +735,7 @@ func (d *DIT) journalRenameParts(seq uint64, st Stamp, moves []renameMove) error
 			bin = bin[:0]
 			var err error
 			for i := range recs {
-				if bin, err = enc2.appendRecord(bin, &recs[i]); err != nil {
+				if bin, err = appendRecord(&enc2, bin, &recs[i]); err != nil {
 					return err
 				}
 			}
@@ -1256,7 +1255,8 @@ func (d *DIT) replayFile(path string, apply func(UpdateRecord) error) (count int
 	}
 	defer f.Close()
 	r := bufio.NewReaderSize(f, 256*1024)
-	var dec v2Decoder
+	var dec record.Decoder
+	var wrec record.Record
 	var rec UpdateRecord
 	var off int64 // byte offset of the record being read
 	for {
@@ -1267,9 +1267,9 @@ func (d *DIT) replayFile(path string, apply func(UpdateRecord) error) (count int
 		if perr != nil {
 			return count, off, false, perr
 		}
-		if first[0] == frameMarkerV2 {
-			n, ferr := dec.readFrame(r, &rec)
-			if ferr == errTornFrameV2 {
+		if first[0] == record.Marker {
+			n, ferr := dec.ReadRecord(r, &wrec)
+			if ferr == record.ErrTorn {
 				// Torn tail: drop it so future appends start at a record
 				// boundary instead of extending garbage.
 				if terr := os.Truncate(path, off); terr != nil {
@@ -1280,6 +1280,7 @@ func (d *DIT) replayFile(path string, apply func(UpdateRecord) error) (count int
 			if ferr != nil {
 				return count, off, false, fmt.Errorf("directory: journal record %d: %w", count+1, ferr)
 			}
+			rec.setWire(&wrec)
 			if aerr := apply(rec); aerr != nil {
 				return count, off, false, fmt.Errorf("directory: replaying record %d (%s %q): %w",
 					count+1, rec.Op, rec.DN, aerr)

@@ -8,6 +8,7 @@ import (
 
 	"metacomm/internal/dn"
 	"metacomm/internal/ldap"
+	"metacomm/internal/record"
 )
 
 // Multi-master replication plumbing (DESIGN.md §15). Every committed update
@@ -121,166 +122,231 @@ func (s *segment) setTombstone(key string, st Stamp) {
 // RemoteApplied describes the local effect of one remote update: whether
 // it won LWW (losing applies are silent no-ops), and the before/after
 // images for device propagation (Old nil = created, New nil = deleted).
+// Err is this record's structural conflict, if any (ApplyRemote returns it
+// as its error instead).
 type RemoteApplied struct {
 	Applied bool
 	DN      dn.DN
 	Old     *Attrs
 	New     *Attrs
+	Err     error
 }
 
 // ApplyRemote applies one remotely-originated update — a full post-image
-// upsert or a delete, carrying its origin stamp — with per-entry
-// last-writer-wins resolution:
+// upsert or a delete, carrying its origin stamp. It is the one-record case
+// of ApplyRemoteBatch, which documents the rules; a structural conflict is
+// returned as the error. The image MUST NOT be mutated afterwards.
+func (d *DIT) ApplyRemote(name dn.DN, image *Attrs, st Stamp, deleted bool) (RemoteApplied, error) {
+	recs := [1]record.Record{{Op: "delete", DN: name.String(), NormKey: name.Normalize(),
+		OriginSeq: st.Seq, OriginNode: st.Node}}
+	if !deleted {
+		recs[0].Op, recs[0].Fields = "entry", image.fields
+	}
+	out := [1]RemoteApplied{{DN: name}}
+	err := d.applyRemote(recs[:], out[:])
+	if err == nil {
+		err = out[0].Err
+	}
+	if err != nil {
+		return RemoteApplied{}, err
+	}
+	return out[0], nil
+}
+
+// ApplyRemoteBatch applies a run of replicated records — "entry" (or "add")
+// full post-image upserts and "delete"s carrying their origin stamps, as
+// Replicated and ReplSnapshot produce them (a missing NormKey is filled in)
+// — in the given order, each with per-entry last-writer-wins resolution:
 //
-//   - the update applies iff its stamp is strictly greater than the
-//     entry's current stamp (or its tombstone's, when absent); losing or
-//     duplicate deliveries return Applied=false and mutate nothing, which
-//     is what makes flood-style exchange terminate and re-delivery after
-//     reconnect idempotent.
+//   - a record applies iff its stamp is strictly greater than the entry's
+//     current stamp (or its tombstone's, when absent); losing or duplicate
+//     deliveries report Applied=false and mutate nothing, which is what
+//     makes flood-style exchange terminate and re-delivery after reconnect
+//     idempotent.
 //   - a winning delete leaves a tombstone so a slower concurrent upsert
 //     with a smaller stamp cannot resurrect the entry; a delete of an
-//     absent entry records the tombstone alone.
-//   - structural conflicts the flat LWW rule cannot express — an upsert
-//     whose parent does not exist here, a delete of an entry that has
-//     children here — return an error for the caller to count; they
-//     cannot arise in the flat (suffix + leaves) trees the telecom
-//     workloads build.
+//     absent entry records (and journals) the tombstone alone, so it
+//     survives restarts and flows to our own peers.
+//   - what the flat LWW rule cannot express — a bad DN, an unstamped or
+//     non-replicable record, an upsert whose parent does not exist here, a
+//     delete of an entry that has children here — is reported in out[i].Err
+//     for the caller to count, and does not stop the batch; it cannot arise
+//     in the flat (suffix + leaves) trees the telecom workloads build.
 //
-// Winning applies take a local commit seq, journal, and emit on the
-// changelog exactly like local writes (with the ORIGIN stamp preserved),
-// so remote updates are durable, visible to gateway caches, and forwarded
-// to this node's own subscribers.
+// Winners take local commit seqs, journal, and emit on the changelog like
+// local writes (with the ORIGIN stamp preserved), so remote updates are
+// durable, visible to gateway caches, and forwarded to this node's own
+// subscribers. Images are installed as given — no schema re-validation (the
+// origin already validated; divergent local rejection would break
+// convergence).
 //
-// The image is installed as given — no schema re-validation (the origin
-// already validated it; divergent local rejection would break convergence)
-// — and MUST NOT be mutated by the caller afterwards.
-func (d *DIT) ApplyRemote(name dn.DN, image *Attrs, st Stamp, deleted bool) (RemoteApplied, error) {
-	if st.IsZero() {
-		return RemoteApplied{}, errf(ldap.ResultProtocolError, "remote update for %q carries no origin stamp", name)
+// The batch is ONE commit: every segment it touches is locked once, all
+// winners are staged into their segments' pipelines together, and the call
+// waits for durability once, after the last record. A durable node
+// therefore group-commits a whole batch per fsync instead of fsyncing per
+// record. A returned error is a failed local journal: nothing of the batch
+// may be taken as applied.
+func (d *DIT) ApplyRemoteBatch(recs []record.Record) ([]RemoteApplied, error) {
+	out := make([]RemoteApplied, len(recs))
+	for i := range recs {
+		var err error
+		if out[i].DN, err = dn.Parse(recs[i].DN); err != nil {
+			out[i].Err = errf(ldap.ResultInvalidDNSyntax, "remote update for %q: %v", recs[i].DN, err)
+		}
 	}
-	if name.IsRoot() {
-		return RemoteApplied{}, errf(ldap.ResultInvalidDNSyntax, "remote update for the root entry")
+	return out, d.applyRemote(recs, out)
+}
+
+// applyRemote is ApplyRemoteBatch with the DNs parsed: out[i].DN is recs[i]'s
+// (or out[i].Err says why it has none), and receives its outcome.
+func (d *DIT) applyRemote(recs []record.Record, out []RemoteApplied) error {
+	// Route first: which segments the batch touches (each record's own and
+	// its parent's), and the Lamport receive rule — local writes after this
+	// point outrank every stamp in the batch.
+	involved := make([]bool, len(d.segs))
+	var maxStamp uint64
+	for i := range recs {
+		r, name := &recs[i], out[i].DN
+		switch {
+		case out[i].Err != nil:
+		case r.Op != "entry" && r.Op != "add" && r.Op != "delete":
+			out[i].Err = errf(ldap.ResultProtocolError, "%s record for %q is not replicable", r.Op, r.DN)
+		case name.IsRoot():
+			out[i].Err = errf(ldap.ResultInvalidDNSyntax, "remote update for the root entry")
+		case r.OriginSeq == 0 && r.OriginNode == 0:
+			out[i].Err = errf(ldap.ResultProtocolError, "remote update for %q carries no origin stamp", name)
+		}
+		if out[i].Err != nil {
+			continue
+		}
+		if r.NormKey == "" {
+			r.NormKey = name.Normalize()
+		}
+		involved[d.segIndex(r.NormKey)] = true
+		involved[d.segIndex(parentNormKey(r.NormKey))] = true
+		if r.OriginSeq > maxStamp {
+			maxStamp = r.OriginSeq
+		}
 	}
-	// Lamport receive rule: local writes after this point outrank st.
-	d.bumpClock(st.Seq)
+	d.bumpClock(maxStamp)
 
-	key := name.Normalize()
-	parentKey := name.Parent().Normalize()
-	sa, sp := d.seg(key), d.seg(parentKey)
-	lockPair(sa, sp)
-	n, exists := sa.entries[key]
+	staged, lastSeq, err := d.resolveRemote(recs, involved, out)
+	if err != nil {
+		return err
+	}
 
-	if deleted {
-		if !exists {
-			if ts, has := sa.tombstones[key]; has && !ts.Less(st) {
-				unlockPair(sa, sp)
-				return RemoteApplied{Applied: false}, nil
+	// One durability wait for the whole batch: each touched pipeline's last
+	// record, then the emitter's global order.
+	for i, run := range staged {
+		if len(run) == 0 {
+			continue
+		}
+		if err := (commitTicket{c: d.segs[i].commit, seq: run[len(run)-1].Seq}).Wait(); err != nil {
+			return err
+		}
+	}
+	if lastSeq != 0 {
+		d.em.waitEmitted(lastSeq)
+	}
+	return nil
+}
+
+// resolveRemote is ApplyRemoteBatch's critical section: one lock acquisition
+// per touched segment, in the global (ascending) order; with them held the
+// records resolve in stream order — parents precede children and a rename's
+// delete precedes its upsert exactly as the publisher sent them — every
+// winner takes its local seq (the last one is returned), and each pipeline
+// is handed its winners as one run before the locks drop: staged[i] is what
+// segment i's was handed. An unjournaled DIT hands them to the emitter.
+func (d *DIT) resolveRemote(recs []record.Record, involved []bool,
+	out []RemoteApplied) (staged [][]UpdateRecord, lastSeq uint64, err error) {
+	for i, s := range d.segs {
+		if involved[i] {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+		}
+	}
+	for i, s := range d.segs {
+		if involved[i] {
+			if err := s.commitReady(); err != nil {
+				return nil, 0, err
 			}
-			// Tombstone-only apply: remember the delete (and journal it)
-			// even though the entry never reached this node, so the
-			// tombstone survives restarts and flows to our own peers.
-			if err := sa.commitReady(); err != nil {
-				unlockPair(sa, sp)
-				return RemoteApplied{}, err
+		}
+	}
+	if d.journaled() {
+		staged = make([][]UpdateRecord, len(d.segs))
+	}
+	for i := range recs {
+		if out[i].Err != nil {
+			continue
+		}
+		r, name, key := &recs[i], out[i].DN, recs[i].NormKey
+		st := Stamp{Seq: r.OriginSeq, Node: r.OriginNode}
+		parentKey := parentNormKey(key)
+		sa, sp := d.seg(key), d.seg(parentKey)
+		n, exists := sa.entries[key]
+		if exists && !n.stamp.Less(st) {
+			continue
+		}
+		if ts, has := sa.tombstones[key]; !exists && has && !ts.Less(st) {
+			continue
+		}
+		rec := UpdateRecord{Op: "delete", DN: r.DN, OriginSeq: st.Seq, OriginNode: st.Node}
+		res := RemoteApplied{Applied: true, DN: name}
+		if exists {
+			res.Old = n.attrs
+		}
+		if r.Op == "delete" {
+			if exists {
+				if len(n.children) > 0 {
+					out[i].Err = errf(ldap.ResultNotAllowedOnNonLeaf, "remote delete of %q: entry has children here", name)
+					continue
+				}
+				delete(sa.entries, key)
+				sa.unindexEntry(key, n.attrs)
+				if p, ok := sp.entries[parentKey]; ok {
+					delete(p.children, key)
+				}
+				d.count.Add(-1)
 			}
 			sa.setTombstone(key, st)
-			seq := d.seq.Add(1)
-			rec := UpdateRecord{Seq: seq, Op: "delete", DN: name.String(),
-				OriginSeq: st.Seq, OriginNode: st.Node}
-			t := d.commitLocked(sa, rec)
-			unlockPair(sa, sp)
-			if err := t.Wait(); err != nil {
-				return RemoteApplied{}, err
+		} else {
+			image := &Attrs{fields: r.Fields}
+			if exists {
+				sa.reindexEntry(key, n.attrs, image)
+				n.attrs, n.dn, n.stamp = image, name, st
+			} else {
+				p, ok := sp.entries[parentKey]
+				if !ok && parentKey != "" {
+					out[i].Err = errf(ldap.ResultNoSuchObject, "remote upsert of %q: parent does not exist here", name)
+					continue
+				}
+				if ok {
+					p.addChild(key)
+				}
+				sa.entries[key] = &node{dn: name, key: key, attrs: image, stamp: st}
+				sa.indexEntry(key, image)
+				delete(sa.tombstones, key)
+				d.count.Add(1)
 			}
-			return RemoteApplied{Applied: true, DN: name}, nil
+			res.New = image
+			rec.Op, rec.Attrs, rec.attrsDec, rec.normKey, rec.post = "entry", image.Map(), image, key, image
 		}
-		if !n.stamp.Less(st) {
-			unlockPair(sa, sp)
-			return RemoteApplied{Applied: false}, nil
+		lastSeq = d.seq.Add(1)
+		rec.Seq = lastSeq
+		if staged == nil {
+			d.em.ready(rec)
+		} else {
+			staged[sa.id] = append(staged[sa.id], rec)
 		}
-		if len(n.children) > 0 {
-			unlockPair(sa, sp)
-			return RemoteApplied{}, errf(ldap.ResultNotAllowedOnNonLeaf, "remote delete of %q: entry has children here", name)
-		}
-		if err := sa.commitReady(); err != nil {
-			unlockPair(sa, sp)
-			return RemoteApplied{}, err
-		}
-		delete(sa.entries, key)
-		sa.unindexEntry(key, n.attrs)
-		if p, ok := sp.entries[parentKey]; ok {
-			delete(p.children, key)
-		}
-		sa.setTombstone(key, st)
-		d.count.Add(-1)
-		seq := d.seq.Add(1)
-		rec := UpdateRecord{Seq: seq, Op: "delete", DN: name.String(),
-			OriginSeq: st.Seq, OriginNode: st.Node}
-		t := d.commitLocked(sa, rec)
-		unlockPair(sa, sp)
-		if err := t.Wait(); err != nil {
-			return RemoteApplied{}, err
-		}
-		return RemoteApplied{Applied: true, DN: name, Old: n.attrs}, nil
+		out[i] = res
 	}
-
-	// Upsert.
-	if exists {
-		if !n.stamp.Less(st) {
-			unlockPair(sa, sp)
-			return RemoteApplied{Applied: false}, nil
-		}
-		if err := sa.commitReady(); err != nil {
-			unlockPair(sa, sp)
-			return RemoteApplied{}, err
-		}
-		old := n.attrs
-		sa.reindexEntry(key, old, image)
-		n.attrs = image
-		n.dn = name
-		n.stamp = st
-		seq := d.seq.Add(1)
-		rec := UpdateRecord{Seq: seq, Op: "entry", DN: name.String(),
-			Attrs: image.Map(), attrsDec: image, normKey: key,
-			OriginSeq: st.Seq, OriginNode: st.Node, post: image}
-		t := d.commitLocked(sa, rec)
-		unlockPair(sa, sp)
-		if err := t.Wait(); err != nil {
-			return RemoteApplied{}, err
-		}
-		return RemoteApplied{Applied: true, DN: name, Old: old, New: image}, nil
-	}
-	if ts, has := sa.tombstones[key]; has && !ts.Less(st) {
-		unlockPair(sa, sp)
-		return RemoteApplied{Applied: false}, nil
-	}
-	if !name.Parent().IsRoot() {
-		if _, ok := sp.entries[parentKey]; !ok {
-			unlockPair(sa, sp)
-			return RemoteApplied{}, errf(ldap.ResultNoSuchObject, "remote upsert of %q: parent does not exist here", name)
+	for i, run := range staged {
+		if len(run) > 0 {
+			d.segs[i].commit.stage(run...)
 		}
 	}
-	if err := sa.commitReady(); err != nil {
-		unlockPair(sa, sp)
-		return RemoteApplied{}, err
-	}
-	if p, ok := sp.entries[parentKey]; ok {
-		p.addChild(key)
-	}
-	sa.entries[key] = &node{dn: name, key: key, attrs: image, stamp: st}
-	sa.indexEntry(key, image)
-	delete(sa.tombstones, key)
-	d.count.Add(1)
-	seq := d.seq.Add(1)
-	rec := UpdateRecord{Seq: seq, Op: "entry", DN: name.String(),
-		Attrs: image.Map(), attrsDec: image, normKey: key,
-		OriginSeq: st.Seq, OriginNode: st.Node, post: image}
-	t := d.commitLocked(sa, rec)
-	unlockPair(sa, sp)
-	if err := t.Wait(); err != nil {
-		return RemoteApplied{}, err
-	}
-	return RemoteApplied{Applied: true, DN: name, New: image}, nil
+	return staged, lastSeq, nil
 }
 
 // DefaultChangeTail is the cursor-addressable changelog tail's capacity
@@ -341,7 +407,7 @@ func (d *DIT) SubscribeFrom(after uint64, buffer int) (backlog []UpdateRecord, c
 		buffer = 1024
 	}
 	d.subMu.Lock()
-	if after < d.tailFirst || after > d.seq.Load() {
+	if d.tailCap <= 0 || after < d.tailFirst || after > d.seq.Load() {
 		d.subMu.Unlock()
 		return nil, nil, nil, false
 	}
@@ -357,74 +423,160 @@ func (d *DIT) SubscribeFrom(after uint64, buffer int) (backlog []UpdateRecord, c
 	return backlog, sub.ch, d.cancelFunc(sub), true
 }
 
-// ReplEntry is one entry of a replication snapshot: the live image plus
-// the origin stamp that installed it.
-type ReplEntry struct {
-	DN    dn.DN
-	Attrs *Attrs
-	Stamp Stamp
+// snapEnt is one header captured under a segment lock, which replication
+// snapshots and compaction both stream: an entry's DN, cached normalized
+// key, immutable attribute value and the stamp that installed it — or, with
+// attrs nil, a tombstone: the deleted key and the deleting stamp.
+type snapEnt struct {
+	dn    dn.DN
+	key   string
+	attrs *Attrs
+	stamp Stamp
 }
 
-// ReplTombstone is one remembered delete: the normalized DN key and the
-// deleting stamp.
-type ReplTombstone struct {
-	Key   string
-	Stamp Stamp
+// record fills rec with e as every writer of the codec emits it: an "entry"
+// record (DN, normalized key, attributes straight out of the COW *Attrs —
+// shared, not copied — and origin stamp), or a tombstone's stamped delete.
+func (e *snapEnt) record(rec *record.Record) {
+	*rec = record.Record{Op: "delete", DN: e.key, OriginSeq: e.stamp.Seq, OriginNode: e.stamp.Node}
+	if e.attrs != nil {
+		rec.Op, rec.DN, rec.NormKey, rec.Fields = "entry", e.dn.String(), e.key, e.attrs.fields
+	}
+}
+
+// ReplSnapshot is the exact cut a joining peer seeds from: every entry with
+// its stamp, every tombstone, and the commit seq the cut reflects. Only
+// headers are held — one slice per segment, released as Each streams it.
+type ReplSnapshot struct {
+	// Seq is the commit seq the cut reflects.
+	Seq uint64
+
+	node uint32
+	// runs[0] holds the entries with children, parents first; then one run
+	// of leaves per segment; the last run holds the tombstones.
+	runs [][]snapEnt
 }
 
 // SnapshotReplicaAndSubscribe captures the exact cut a joining peer seeds
-// from — every entry with its stamp (parents before children, so the
-// receiver can ApplyRemote them in order), every tombstone, the commit
-// seq the cut reflects, and a live subscription delivering everything
-// after it — without quiescing writers: the same rlockAll header capture
-// as SnapshotAndSubscribeSeq (PR 3/7), extended with stamps and
-// tombstones.
-func (d *DIT) SnapshotReplicaAndSubscribe(buffer int) (entries []ReplEntry, tombs []ReplTombstone, seq uint64, changes <-chan UpdateRecord, cancel func()) {
+// from and a live subscription delivering everything after it — without
+// quiescing writers: the same rlockAll header capture as
+// SnapshotRangeAndSubscribeSeq (PR 3/7), extended with stamps and
+// tombstones. Nothing is sorted or copied beyond the headers; stream the
+// cut with Each.
+func (d *DIT) SnapshotReplicaAndSubscribe(buffer int) (snap *ReplSnapshot, changes <-chan UpdateRecord, cancel func()) {
 	if buffer <= 0 {
 		buffer = 1024
 	}
+	snap = &ReplSnapshot{node: d.nodeID, runs: make([][]snapEnt, len(d.segs)+2)}
+	var interior, tombs []snapEnt
 	d.rlockAll()
-	total := 0
-	for _, s := range d.segs {
-		total += len(s.entries)
-	}
-	entries = make([]ReplEntry, 0, total)
-	keys := make([]string, 0, total)
-	for _, s := range d.segs {
+	for i, s := range d.segs {
+		leaves := make([]snapEnt, 0, len(s.entries))
 		for k, n := range s.entries {
-			entries = append(entries, ReplEntry{DN: n.dn, Attrs: n.attrs, Stamp: n.stamp})
-			keys = append(keys, k)
+			e := snapEnt{dn: n.dn, key: k, attrs: n.attrs, stamp: n.stamp}
+			if len(n.children) > 0 {
+				interior = append(interior, e)
+			} else {
+				leaves = append(leaves, e)
+			}
 		}
+		snap.runs[i+1] = leaves
 		for k, ts := range s.tombstones {
-			tombs = append(tombs, ReplTombstone{Key: k, Stamp: ts})
+			tombs = append(tombs, snapEnt{key: k, stamp: ts})
 		}
 	}
-	seq = d.seq.Load()
-	sub := &changeSub{ch: make(chan UpdateRecord, buffer), startAfter: seq}
+	snap.Seq = d.seq.Load()
+	sub := &changeSub{ch: make(chan UpdateRecord, buffer), startAfter: snap.Seq}
 	d.subMu.Lock()
 	d.subs = append(d.subs, sub)
 	d.subMu.Unlock()
 	d.runlockAll()
 
-	sort.Sort(&replEntrySorter{entries, keys})
-	return entries, tombs, seq, sub.ch, d.cancelFunc(sub)
+	// Parents before children is the receiver's contract (it applies in
+	// stream order). Every parent is an interior entry, so ordering those
+	// few by depth and sending them first is enough: the leaves — nearly
+	// the whole tree — go out in map order, unsorted.
+	sort.Slice(interior, func(i, j int) bool { return interior[i].dn.Depth() < interior[j].dn.Depth() })
+	snap.runs[0], snap.runs[len(snap.runs)-1] = interior, tombs
+	return snap, sub.ch, d.cancelFunc(sub)
 }
 
-type replEntrySorter struct {
-	e []ReplEntry
-	k []string
-}
-
-func (s *replEntrySorter) Len() int { return len(s.e) }
-func (s *replEntrySorter) Swap(i, j int) {
-	s.e[i], s.e[j] = s.e[j], s.e[i]
-	s.k[i], s.k[j] = s.k[j], s.k[i]
-}
-func (s *replEntrySorter) Less(i, j int) bool {
-	if di, dj := s.e[i].DN.Depth(), s.e[j].DN.Depth(); di != dj {
-		return di < dj
+// Each streams the cut as codec records — interior entries parents first,
+// then the leaves segment by segment, then the tombstones as stamped
+// deletes — stopping early when visit returns false. rec is reused between
+// calls and shares the tree's immutable attribute values. Each consumes the
+// snapshot: a segment's headers are dropped once streamed.
+func (s *ReplSnapshot) Each(visit func(rec *record.Record) bool) {
+	var rec record.Record
+	for i, run := range s.runs {
+		s.runs[i] = nil
+		for j := range run {
+			run[j].record(&rec)
+			if run[j].stamp.IsZero() {
+				// Pre-replication entry (restored from an unstamped legacy
+				// journal): ship the minimal valid stamp so it applies
+				// everywhere but loses to any real write.
+				rec.OriginSeq, rec.OriginNode = 1, s.node
+			}
+			if !visit(&rec) {
+				return
+			}
+		}
 	}
-	return s.k[i] < s.k[j]
+}
+
+// Replicated appends rec's replicated form to out: full post-image upserts
+// ("entry") and stamped deletes, what ApplyRemoteBatch consumes. A rename
+// decomposes into delete(old)+upsert(new) under the rename's single stamp.
+// Records without a post-image in hand fall back to the live tree — the
+// image read may be newer than the record, but it ships under the record's
+// (older) stamp, so the later state's own record simply re-wins when it
+// arrives: convergence is unaffected. Unstamped legacy records replicate as
+// nothing (the snapshot fallback covers them).
+func (d *DIT) Replicated(rec *UpdateRecord, out []record.Record) []record.Record {
+	st := rec.Origin()
+	if st.IsZero() {
+		return out
+	}
+	upsert := func(name, key string, img *Attrs) []record.Record {
+		if img == nil {
+			parsed, err := dn.Parse(name)
+			if err != nil {
+				return out
+			}
+			e, err := d.Get(parsed)
+			if err != nil {
+				return out // entry since deleted; its delete record follows
+			}
+			img = e.Attrs
+		}
+		return append(out, record.Record{Op: "entry", DN: name, NormKey: key, Fields: img.fields,
+			OriginSeq: st.Seq, OriginNode: st.Node})
+	}
+	switch rec.Op {
+	case "add", "entry":
+		img := rec.post
+		if img == nil {
+			img = rec.attrsValue()
+		}
+		return upsert(rec.DN, rec.normKey, img)
+	case "modify":
+		return upsert(rec.DN, "", rec.post)
+	case "delete":
+		return append(out, record.Record{Op: "delete", DN: rec.DN, OriginSeq: st.Seq, OriginNode: st.Node})
+	case "modifydn":
+		name, err := dn.Parse(rec.DN)
+		if err != nil || name.IsRoot() {
+			return out
+		}
+		newRDN, err := dn.Parse(rec.NewRDN)
+		if err != nil || newRDN.Depth() != 1 {
+			return out
+		}
+		out = append(out, record.Record{Op: "delete", DN: rec.DN, OriginSeq: st.Seq, OriginNode: st.Node})
+		return upsert(name.WithRDN(newRDN.RDN()).String(), "", rec.post)
+	}
+	return out
 }
 
 // Fingerprint returns a canonical SHA-256 over the directory's exact

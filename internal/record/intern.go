@@ -1,4 +1,4 @@
-package directory
+package record
 
 import (
 	"strings"
@@ -13,13 +13,13 @@ import (
 // not one heap copy. The table is global (names are workload vocabulary,
 // not per-DIT data) and append-only.
 //
-// Ownership rules (DESIGN.md §13): only attrs.go interns — at the points
-// where a name is stored into an Attrs (Put/Add and the lowered key). Read
-// paths (Get/Has/...) never intern: lookups compare by content, and
-// interning on reads would let a scanning client grow the table. As a
-// backstop against pathological schemas the table stops accepting new
-// names past internMax and hands back the input unchanged — correctness
-// never depends on interning, only footprint does.
+// Ownership rules (DESIGN.md §13): names are interned only where one is
+// stored into a Field — the directory's Attrs.Put/Add and this package's
+// decoder. Read paths (Get/Has/...) never intern: lookups compare by
+// content, and interning on reads would let a scanning client grow the
+// table. As a backstop against pathological schemas the table stops
+// accepting new names past internMax and hands back the input unchanged —
+// correctness never depends on interning, only footprint does.
 
 const internMax = 1 << 16
 
@@ -28,8 +28,8 @@ var (
 	internSize atomic.Int64
 )
 
-// intern returns the canonical string object equal to s.
-func intern(s string) string {
+// Intern returns the canonical string object equal to s.
+func Intern(s string) string {
 	if v, ok := internTab.Load(s); ok {
 		return v.(string)
 	}
@@ -49,3 +49,15 @@ func intern(s string) string {
 // InternedNames reports how many distinct attribute-name spellings the
 // global intern table holds.
 func InternedNames() int { return int(internSize.Load()) }
+
+// Lower canonicalizes an attribute type name. Names are ASCII in practice,
+// so the common all-lower spelling returns its input unchanged with no
+// allocation.
+func Lower(s string) string {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; 'A' <= c && c <= 'Z' {
+			return strings.ToLower(s)
+		}
+	}
+	return s
+}

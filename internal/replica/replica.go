@@ -3,19 +3,19 @@
 // make extensive use of replication to make directory information highly
 // available", §2); this package supplies it in multi-master form:
 //
-//   - a Publisher streams committed updates to any consumer over
-//     newline-delimited JSON. A consumer announces itself with a hello
-//     frame carrying its node id and changelog cursor; the publisher
-//     either RESUMES it (replaying the tail of records after the cursor)
-//     or, when the in-memory tail no longer covers the cursor, ships a
-//     full exact-cut snapshot — entries with their origin stamps plus
-//     tombstones — followed by the live stream. Either way no writer on
-//     the publisher is ever quiesced.
-//   - a link (the consumer half) applies every received record through
-//     DIT.ApplyRemote: per-entry last-writer-wins on the (Lamport seq,
-//     node id) origin stamp, so records may arrive in any order, from any
-//     number of peers, any number of times, and every node converges to
-//     the same tree.
+//   - a Publisher streams committed updates to any consumer in the journal's
+//     own binary record frames (internal/record). A consumer announces
+//     itself with a hello frame carrying the wire version, its node id and
+//     its changelog cursor; the publisher either RESUMES it (replaying the
+//     tail of records after the cursor) or, when the in-memory tail no
+//     longer covers the cursor, ships a full exact-cut snapshot — entries
+//     with their origin stamps plus tombstones — followed by the live
+//     stream. Either way no writer on the publisher is ever quiesced.
+//   - a link (the consumer half) applies everything that has arrived as one
+//     batch through DIT.ApplyRemoteBatch: per-entry last-writer-wins on the
+//     (Lamport seq, node id) origin stamp, so records may arrive in any
+//     order, from any number of peers, any number of times, and every node
+//     converges to the same tree.
 //   - a Replicator (replicator.go) composes one Publisher with N links
 //     into a multi-master node: writes accepted anywhere, exchanged
 //     peer-to-peer, durable cursors so reconnects resume instead of
@@ -27,68 +27,78 @@
 // any suffix of the stream is idempotent (losing/duplicate stamps are
 // silent no-ops), which is what makes the cursor protocol safe against
 // torn connections, duplicated frames, and crash-stale cursors.
+//
+// Wire format (table in DESIGN.md §15). Every message is one record frame.
+// Entries, tombstones and post-images are the "entry" and "delete" update
+// records the journal and compaction write; the rest are control payloads,
+// a tag byte followed by uvarints: hello(version, node, cursor) from the
+// consumer; then refuse(version, peerVersion) and a close, or resume(seq),
+// or snapshot-begin(seq) records* snapshot-end(seq, count); then, forever,
+// change(seq, count) followed by the count records of ONE source commit (a
+// rename is delete+upsert) — the cursor becomes seq only after all of them
+// applied. A frame that fails its checksum ends the session: nothing from
+// it or after it is applied, and the link reconnects and resumes.
 package replica
 
 import (
 	"bufio"
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"log"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"metacomm/internal/directory"
-	"metacomm/internal/dn"
-	"metacomm/internal/ldap"
+	"metacomm/internal/record"
 )
 
-// wire message types.
+// wireVersion is announced in every hello. Version 1 was newline-delimited
+// JSON; a peer speaking it (or anything else) is refused, not guessed at.
+const wireVersion = 2
+
+// Control payload tags.
 const (
-	msgHello         = "hello"  // consumer -> publisher: node id + cursor
-	msgResume        = "resume" // publisher confirms tail resume from Seq
-	msgSnapshotBegin = "snapshot-begin"
-	msgSnapshotEntry = "entry" // one stamped snapshot entry
-	msgSnapshotTomb  = "tomb"  // one remembered delete
-	msgSnapshotEnd   = "snapshot-end"
-	msgChange        = "change"
+	tagHello = record.ControlBase + iota
+	tagRefuse
+	tagResume
+	tagSnapshotBegin
+	tagSnapshotEnd
+	tagChange
 )
 
-// wire record ops.
-const (
-	opEntry  = "entry"
-	opDelete = "delete"
-)
-
-// wireRecord is one replicated update: a full post-image upsert or a
-// delete, with the origin stamp that decides conflicts.
-type wireRecord struct {
-	Op    string              `json:"op"`
-	DN    string              `json:"dn"`
-	Attrs map[string][]string `json:"attrs,omitempty"`
-	OSeq  uint64              `json:"oseq"`
-	ONode uint32              `json:"onode"`
+// appendControl appends one control frame to dst.
+func appendControl(dst []byte, tag byte, vals ...uint64) []byte {
+	var p [1 + 3*binary.MaxVarintLen64]byte
+	b := append(p[:0], tag)
+	for _, v := range vals {
+		b = binary.AppendUvarint(b, v)
+	}
+	return record.AppendFrame(dst, b)
 }
 
-// frame is one wire message.
-type frame struct {
-	Type string `json:"type"`
-	// Node/Cursor: hello only — the consumer's node id and the publisher
-	// commit seq its state already reflects.
-	Node   uint32 `json:"node,omitempty"`
-	Cursor uint64 `json:"cursor,omitempty"`
-	// Seq: for resume, the confirmed cursor; for snapshot-begin/-end, the
-	// commit seq the cut reflects; for change, the publisher commit seq
-	// the whole frame advances the consumer's cursor to.
-	Seq   uint64 `json:"seq,omitempty"`
-	Count int    `json:"count,omitempty"` // snapshot-end: entries sent
-	// Record: snapshot entry/tomb frames. Records: change frames — one
-	// source commit may decompose into several wire records (a rename is
-	// delete+upsert), shipped in ONE frame so the cursor never lands
-	// between them.
-	Record  *wireRecord  `json:"record,omitempty"`
-	Records []wireRecord `json:"records,omitempty"`
+// parseControl decodes a control payload (p[0] >= record.ControlBase): the
+// tag and its uvarints, at most three; fields a frame omits read as zero.
+func parseControl(p []byte) (tag byte, v [3]uint64, err error) {
+	tag, p = p[0], p[1:]
+	for k := 0; len(p) > 0; k++ {
+		n := 0
+		if k < len(v) {
+			v[k], n = binary.Uvarint(p)
+		}
+		if n <= 0 {
+			return tag, v, fmt.Errorf("replica: malformed control frame %#02x", tag)
+		}
+		p = p[n:]
+	}
+	return tag, v, nil
 }
+
+// errWireVersion marks a session that ended because the two ends do not
+// speak the same protocol: redialling quickly cannot fix it.
+var errWireVersion = errors.New("replica: wire version mismatch")
 
 // PublisherStats counts one publisher's replication activity.
 type PublisherStats struct {
@@ -192,68 +202,100 @@ func (p *Publisher) serve(nc net.Conn) {
 		p.mu.Unlock()
 	}()
 
+	w := bufio.NewWriterSize(nc, 64<<10)
+	var enc record.Encoder
+	var buf []byte // one frame, reused
+	control := func(tag byte, vals ...uint64) bool {
+		buf = appendControl(buf[:0], tag, vals...)
+		_, err := w.Write(buf)
+		return err == nil
+	}
+	send := func(rec *record.Record) bool {
+		var err error
+		if buf, err = enc.AppendRecord(buf[:0], rec); err == nil {
+			_, err = w.Write(buf)
+		}
+		return err == nil
+	}
+	// change ships one committed record's replicated form as one group.
+	var group []record.Record
+	change := func(rec *directory.UpdateRecord) bool {
+		group = p.DIT.Replicated(rec, group[:0])
+		if len(group) == 0 {
+			return true // unstamped legacy history; snapshot fallback covers it
+		}
+		p.sent.Add(uint64(len(group)))
+		ok := control(tagChange, rec.Seq, uint64(len(group)))
+		for i := 0; ok && i < len(group); i++ {
+			ok = send(&group[i])
+		}
+		return ok
+	}
+
 	// The hello frame must arrive promptly; a consumer that dials and says
-	// nothing would otherwise pin a subscription forever.
+	// nothing would otherwise pin a subscription forever. Anything that is
+	// not a hello of this version — an old newline-JSON peer, a future one —
+	// gets one refusal naming both versions, so it can fail loudly.
 	nc.SetReadDeadline(time.Now().Add(30 * time.Second))
-	dec := json.NewDecoder(bufio.NewReader(nc))
-	var hello frame
-	if err := dec.Decode(&hello); err != nil || hello.Type != msgHello {
+	br := bufio.NewReader(nc)
+	first, err := br.Peek(1)
+	if err != nil {
 		return
 	}
+	var hello [3]uint64
+	if first[0] == record.Marker {
+		var fr record.Reader
+		payload, _, err := fr.ReadFrame(br)
+		if err != nil || len(payload) == 0 || payload[0] != tagHello {
+			return
+		}
+		if _, hello, err = parseControl(payload); err != nil {
+			return
+		}
+	}
+	if hello[0] != wireVersion {
+		if control(tagRefuse, wireVersion, hello[0]) {
+			w.Flush()
+		}
+		return
+	}
+	cursor := hello[2]
 	nc.SetReadDeadline(time.Time{})
-
-	w := bufio.NewWriter(nc)
-	enc := json.NewEncoder(w)
-	send := func(f frame) bool { return enc.Encode(f) == nil }
 
 	var changes <-chan directory.UpdateRecord
 	var cancel func()
-	if backlog, ch, cf, ok := p.DIT.SubscribeFrom(hello.Cursor, 4096); ok {
+	if backlog, ch, cf, ok := p.DIT.SubscribeFrom(cursor, 4096); ok {
 		p.resumes.Add(1)
 		changes, cancel = ch, cf
 		defer cancel()
-		if !send(frame{Type: msgResume, Seq: hello.Cursor}) {
+		if !control(tagResume, cursor) {
 			return
 		}
 		for i := range backlog {
-			if !p.sendChange(send, &backlog[i]) {
+			if !change(&backlog[i]) {
 				return
 			}
 		}
 	} else {
 		// Tail doesn't cover the cursor (evicted, disabled, or a cursor
-		// from a history this process never saw): exact-cut snapshot.
+		// from a history this process never saw): exact-cut snapshot,
+		// encoded straight out of the tree's attribute values.
 		p.snapshots.Add(1)
-		entries, tombs, seq, ch, cf := p.DIT.SnapshotReplicaAndSubscribe(4096)
+		snap, ch, cf := p.DIT.SnapshotReplicaAndSubscribe(4096)
 		changes, cancel = ch, cf
 		defer cancel()
-		if !send(frame{Type: msgSnapshotBegin, Seq: seq}) {
+		if !control(tagSnapshotBegin, snap.Seq) {
 			return
 		}
-		for i := range entries {
-			st := entries[i].Stamp
-			if st.IsZero() {
-				// Pre-replication entry (restored from an unstamped legacy
-				// journal): ship the minimal valid stamp so it applies
-				// everywhere but loses to any real write.
-				st = directory.Stamp{Seq: 1, Node: p.DIT.NodeID()}
-			}
-			p.sent.Add(1)
-			if !send(frame{Type: msgSnapshotEntry, Record: &wireRecord{
-				Op: opEntry, DN: entries[i].DN.String(), Attrs: entries[i].Attrs.Map(),
-				OSeq: st.Seq, ONode: st.Node}}) {
-				return
-			}
-		}
-		for i := range tombs {
-			p.sent.Add(1)
-			if !send(frame{Type: msgSnapshotTomb, Record: &wireRecord{
-				Op: opDelete, DN: tombs[i].Key,
-				OSeq: tombs[i].Stamp.Seq, ONode: tombs[i].Stamp.Node}}) {
-				return
-			}
-		}
-		if !send(frame{Type: msgSnapshotEnd, Seq: seq, Count: len(entries)}) {
+		var count uint64
+		ok := true
+		snap.Each(func(rec *record.Record) bool {
+			count++
+			ok = send(rec)
+			return ok
+		})
+		p.sent.Add(count)
+		if !ok || !control(tagSnapshotEnd, snap.Seq, count) {
 			return
 		}
 	}
@@ -278,18 +320,19 @@ func (p *Publisher) serve(nc net.Conn) {
 			if !ok {
 				return // overflow: consumer reconnects and resumes/resyncs
 			}
-			if !p.sendChange(send, &rec) {
+			if !change(&rec) {
 				return
 			}
 			// Drain whatever else is already buffered before flushing so a
-			// burst of commits costs one syscall, not one per record.
+			// burst of commits costs one syscall, not one per record — and
+			// arrives together, so the consumer commits it together.
 			for drained := false; !drained; {
 				select {
 				case rec, ok = <-changes:
 					if !ok {
 						return
 					}
-					if !p.sendChange(send, &rec) {
+					if !change(&rec) {
 						return
 					}
 				default:
@@ -305,91 +348,22 @@ func (p *Publisher) serve(nc net.Conn) {
 	}
 }
 
-// sendChange converts one committed record to wire form and sends it.
-// Returns false only on a send error; records that convert to nothing
-// (unstamped legacy history) are skipped.
-func (p *Publisher) sendChange(send func(frame) bool, rec *directory.UpdateRecord) bool {
-	wrs := p.wireRecords(rec)
-	if len(wrs) == 0 {
-		return true
-	}
-	p.sent.Add(uint64(len(wrs)))
-	return send(frame{Type: msgChange, Seq: rec.Seq, Records: wrs})
-}
-
-// wireRecords converts one changelog record into its replicated form:
-// full post-image upserts and stamped deletes. A rename decomposes into
-// delete(old)+upsert(new) under the rename's single stamp. Records
-// without a post-image in hand fall back to the live tree — the image
-// read may be newer than the record, but it ships under the record's
-// (older) stamp, so the later state's own record simply re-wins when it
-// arrives: convergence is unaffected.
-func (p *Publisher) wireRecords(rec *directory.UpdateRecord) []wireRecord {
-	st := rec.Origin()
-	if st.IsZero() {
-		return nil // unstamped legacy record; snapshot fallback covers it
-	}
-	switch rec.Op {
-	case "add", "entry":
-		attrs := rec.Attrs
-		if img := rec.PostImage(); img != nil {
-			attrs = img.Map()
-		}
-		return []wireRecord{{Op: opEntry, DN: rec.DN, Attrs: attrs, OSeq: st.Seq, ONode: st.Node}}
-	case "modify":
-		attrs := p.postImageFor(rec, rec.DN)
-		if attrs == nil {
-			return nil // entry since deleted; its delete record follows
-		}
-		return []wireRecord{{Op: opEntry, DN: rec.DN, Attrs: attrs, OSeq: st.Seq, ONode: st.Node}}
-	case "delete":
-		return []wireRecord{{Op: opDelete, DN: rec.DN, OSeq: st.Seq, ONode: st.Node}}
-	case "modifydn":
-		name, err := dn.Parse(rec.DN)
-		if err != nil || name.IsRoot() {
-			return nil
-		}
-		newRDN, err := dn.Parse(rec.NewRDN)
-		if err != nil || newRDN.Depth() != 1 {
-			return nil
-		}
-		newDN := name.WithRDN(newRDN.RDN())
-		out := []wireRecord{{Op: opDelete, DN: rec.DN, OSeq: st.Seq, ONode: st.Node}}
-		if attrs := p.postImageFor(rec, newDN.String()); attrs != nil {
-			out = append(out, wireRecord{Op: opEntry, DN: newDN.String(), Attrs: attrs, OSeq: st.Seq, ONode: st.Node})
-		}
-		return out
-	}
-	return nil
-}
-
-// postImageFor returns the record's post-image attributes, falling back
-// to the live tree at name when the record doesn't carry one.
-func (p *Publisher) postImageFor(rec *directory.UpdateRecord, name string) map[string][]string {
-	if img := rec.PostImage(); img != nil {
-		return img.Map()
-	}
-	parsed, err := dn.Parse(name)
-	if err != nil {
-		return nil
-	}
-	e, err := p.DIT.Get(parsed)
-	if err != nil {
-		return nil
-	}
-	return e.Attrs.Map()
-}
+// maxApplyBatch caps how many records one ApplyRemoteBatch call carries:
+// enough to amortize a durable joiner's fsync over hundreds of entries,
+// small enough that the segment locks are held well under a millisecond.
+const maxApplyBatch = 512
 
 // link is the consumer half of one replication connection: it dials a
 // publisher, announces its cursor, applies everything received through
-// ApplyRemote, and reconnects with backoff until stopped. Replica wraps
-// one link; Replicator runs one per peer.
+// ApplyRemoteBatch, and reconnects with backoff until stopped. Replica
+// wraps one link; Replicator runs one per peer.
 type link struct {
 	addr    string
 	node    uint32
 	d       *directory.DIT
 	onApply func(directory.RemoteApplied)
 	persist func(cursor uint64)
+	log     *log.Logger // nil discards; set before start
 
 	cursor     atomic.Uint64 // publisher commit seq reflected locally
 	resyncs    atomic.Uint64 // snapshot catch-ups
@@ -398,6 +372,10 @@ type link struct {
 	noops      atomic.Uint64 // losing/duplicate deliveries
 	structural atomic.Uint64 // records skipped on structural conflict
 	connected  atomic.Bool
+
+	// refusals counts consecutive sessions that ended in errWireVersion;
+	// touched only by the link goroutine.
+	refusals int
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -409,7 +387,8 @@ func newLink(addr string, node uint32, d *directory.DIT,
 		persist: persist, stop: make(chan struct{})}
 }
 
-func (l *link) start() {
+func (l *link) start(errorLog *log.Logger) {
+	l.log = errorLog
 	l.wg.Add(1)
 	go func() {
 		defer l.wg.Done()
@@ -419,12 +398,24 @@ func (l *link) start() {
 				return
 			default:
 			}
-			if err := l.session(); err != nil {
-				select {
-				case <-l.stop:
-					return
-				case <-time.After(100 * time.Millisecond):
+			err := l.session()
+			delay := 100 * time.Millisecond
+			if errors.Is(err, errWireVersion) {
+				// Redialling cannot fix a protocol disagreement: say so
+				// once, then back off exponentially (capped near 25 s) in
+				// case the peer is upgraded underneath us.
+				if l.refusals == 0 && l.log != nil {
+					l.log.Printf("replica: peer %s: %v; backing off", l.addr, err)
 				}
+				if l.refusals < 8 {
+					l.refusals++
+				}
+				delay <<= l.refusals
+			}
+			select {
+			case <-l.stop:
+				return
+			case <-time.After(delay):
 			}
 		}
 	}()
@@ -462,104 +453,134 @@ func (l *link) session() error {
 		}
 	}()
 
-	w := bufio.NewWriter(nc)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(frame{Type: msgHello, Node: l.node, Cursor: l.cursor.Load()}); err != nil {
+	if _, err := nc.Write(appendControl(nil, tagHello, wireVersion, uint64(l.node), l.cursor.Load())); err != nil {
 		return err
 	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
+	defer l.connected.Store(false)
+	// The read buffer bounds a batch: everything one read pulled off the
+	// socket is applied together.
+	return l.consume(bufio.NewReaderSize(nc, 256<<10))
+}
 
-	dec := json.NewDecoder(bufio.NewReader(nc))
-	// Each frame decodes into a FRESH struct: json.Decoder merges into
-	// existing pointers/maps, which would silently fuse records.
-	var f frame
-	if err := dec.Decode(&f); err != nil {
+// consume reads the publisher's side of one session from br and applies it.
+// It only returns on a broken stream.
+func (l *link) consume(br *bufio.Reader) error {
+	first, err := br.Peek(1)
+	if err != nil {
 		return err
 	}
-	switch f.Type {
-	case msgResume:
-		l.resumes.Add(1)
-	case msgSnapshotBegin:
-		l.resyncs.Add(1)
-		for {
-			f = frame{}
-			if err := dec.Decode(&f); err != nil {
+	if first[0] != record.Marker {
+		return fmt.Errorf("%w: peer answered %#02x, not a v%d frame", errWireVersion, first[0], wireVersion)
+	}
+	var (
+		dec   record.Decoder
+		batch []record.Record
+		// inSnapshot: between snapshot-begin and snapshot-end, where any
+		// record boundary may end a batch. owed: records still to come in
+		// the current change group, which a batch never splits.
+		inSnapshot bool
+		received   uint64
+		owed       uint64
+		// next is the cursor the records batched so far add up to; it is
+		// committed once they are applied.
+		next, dirty = uint64(0), false
+	)
+	started := false
+	for {
+		if owed == 0 && (len(batch) > 0 || dirty) &&
+			(len(batch) >= maxApplyBatch || !record.FrameBuffered(br)) {
+			if err := l.apply(batch); err != nil {
 				return err
 			}
-			if f.Type == msgSnapshotEnd {
-				break
-			}
-			if (f.Type != msgSnapshotEntry && f.Type != msgSnapshotTomb) || f.Record == nil {
-				return fmt.Errorf("replica: unexpected frame %q in snapshot", f.Type)
-			}
-			if err := l.applyOne(f.Record); err != nil {
-				return err
+			batch = batch[:0]
+			if dirty {
+				// Cursor advances only after the WHOLE group applied: a
+				// rename's delete+upsert pair is never torn by a reconnect
+				// between them.
+				l.setCursor(next)
+				dirty = false
 			}
 		}
-		// The cut seq may be BELOW our stale cursor (publisher restarted
-		// with a fresh history); trusting it either way is safe because
-		// every apply is idempotent under LWW.
-		l.setCursor(f.Seq)
-	default:
-		return fmt.Errorf("replica: bad stream start %q", f.Type)
-	}
-	l.connected.Store(true)
-	defer l.connected.Store(false)
-
-	for {
-		f = frame{}
-		if err := dec.Decode(&f); err != nil {
+		p, _, err := dec.ReadFrame(br)
+		if err != nil {
 			return err
 		}
-		if f.Type != msgChange {
-			return fmt.Errorf("replica: unexpected frame %q in stream", f.Type)
+		if len(p) == 0 {
+			return errors.New("replica: empty frame")
 		}
-		for i := range f.Records {
-			if err := l.applyOne(&f.Records[i]); err != nil {
-				return err
+		if p[0] < record.ControlBase {
+			if !inSnapshot && owed == 0 {
+				return errors.New("replica: record frame outside a snapshot or change group")
 			}
+			batch = append(batch, record.Record{})
+			if err := dec.Decode(p, &batch[len(batch)-1]); err != nil {
+				return fmt.Errorf("replica: %w", err)
+			}
+			if received++; !inSnapshot {
+				if owed--; owed == 0 {
+					dirty = true
+				}
+			}
+			continue
 		}
-		// Cursor advances only after the WHOLE frame applied: a rename's
-		// delete+upsert pair is never torn by a reconnect between them.
-		l.setCursor(f.Seq)
+		tag, v, err := parseControl(p)
+		if err != nil {
+			return err
+		}
+		switch {
+		case tag == tagRefuse && !started:
+			return fmt.Errorf("%w: publisher speaks v%d, refused our v%d", errWireVersion, v[0], v[1])
+		case tag == tagResume && !started:
+			l.resumes.Add(1)
+			l.connected.Store(true)
+		case tag == tagSnapshotBegin && !started:
+			l.resyncs.Add(1)
+			inSnapshot, received = true, 0
+		case tag == tagSnapshotEnd && inSnapshot:
+			if v[1] != received {
+				return fmt.Errorf("replica: snapshot carried %d records, publisher sent %d", received, v[1])
+			}
+			// The cut seq may be BELOW our stale cursor (publisher restarted
+			// with a fresh history); trusting it either way is safe because
+			// every apply is idempotent under LWW.
+			inSnapshot, next, dirty = false, v[0], true
+			l.connected.Store(true)
+		case tag == tagChange && started && !inSnapshot && owed == 0 && v[1] > 0:
+			next, owed = v[0], v[1]
+		default:
+			return fmt.Errorf("replica: unexpected control frame %#02x", tag)
+		}
+		if !started {
+			started = true
+			l.refusals = 0
+		}
 	}
 }
 
-// applyOne feeds one wire record through LWW resolution. Structural
-// conflicts (bad DN, missing parent, delete of a non-leaf, unstamped
-// record) are counted and skipped — they are per-record, not per-stream,
-// and re-delivery cannot fix them. Real failures (a poisoned local
-// journal) abort the session.
-func (l *link) applyOne(wr *wireRecord) error {
-	name, err := dn.Parse(wr.DN)
-	if err != nil {
-		l.structural.Add(1)
+// apply feeds one batch through LWW resolution. Structural conflicts (bad
+// DN, missing parent, delete of a non-leaf, unstamped record) are counted
+// and skipped — they are per-record, not per-stream, and re-delivery cannot
+// fix them. Real failures (a poisoned local journal) abort the session.
+func (l *link) apply(batch []record.Record) error {
+	if len(batch) == 0 {
 		return nil
 	}
-	var image *directory.Attrs
-	if wr.Op != opDelete {
-		image = directory.AttrsFrom(wr.Attrs)
-	}
-	st := directory.Stamp{Seq: wr.OSeq, Node: wr.ONode}
-	res, err := l.d.ApplyRemote(name, image, st, wr.Op == opDelete)
+	results, err := l.d.ApplyRemoteBatch(batch)
 	if err != nil {
-		switch directory.CodeOf(err) {
-		case ldap.ResultNoSuchObject, ldap.ResultNotAllowedOnNonLeaf,
-			ldap.ResultProtocolError, ldap.ResultInvalidDNSyntax:
-			l.structural.Add(1)
-			return nil
-		}
 		return err
 	}
-	if !res.Applied {
-		l.noops.Add(1)
-		return nil
-	}
-	l.applied.Add(1)
-	if l.onApply != nil {
-		l.onApply(res)
+	for _, res := range results {
+		switch {
+		case res.Err != nil:
+			l.structural.Add(1)
+		case !res.Applied:
+			l.noops.Add(1)
+		default:
+			l.applied.Add(1)
+			if l.onApply != nil {
+				l.onApply(res)
+			}
+		}
 	}
 	return nil
 }
@@ -569,6 +590,9 @@ func (l *link) applyOne(wr *wireRecord) error {
 type Replica struct {
 	// DIT is the replica's local tree; serve reads from it.
 	DIT *directory.DIT
+	// ErrorLog, when set before Start, receives link-level problems that
+	// retrying will not fix (a publisher speaking another wire version).
+	ErrorLog *log.Logger
 
 	link *link
 }
@@ -597,7 +621,7 @@ func (r *Replica) Connected() bool { return r.link.connected.Load() }
 
 // Start begins replicating in the background, reconnecting with a small
 // backoff until Stop.
-func (r *Replica) Start() { r.link.start() }
+func (r *Replica) Start() { r.link.start(r.ErrorLog) }
 
 // Stop halts replication.
 func (r *Replica) Stop() { r.link.stopAndWait() }

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"encoding/json"
+	"log"
 	"net"
 	"os"
 	"sync"
@@ -29,6 +30,9 @@ type Replicator struct {
 	// won LWW and mutated the tree — the hook the Update Manager uses to
 	// run device propagation for writes that originated elsewhere.
 	OnApply func(directory.RemoteApplied)
+	// ErrorLog, when set BEFORE Start, receives link-level problems that
+	// retrying will not fix (a peer speaking another wire version).
+	ErrorLog *log.Logger
 
 	d   *directory.DIT
 	pub *Publisher
@@ -96,7 +100,7 @@ func (r *Replicator) Start() {
 	}
 	r.started = true
 	for _, l := range r.links {
-		l.start()
+		l.start(r.ErrorLog)
 	}
 }
 

@@ -468,11 +468,13 @@ func (u *UM) OnUpdate(ev ltap.Event) ldap.Result {
 //     replicates over like any other update. A local write-back here
 //     would race it with a fresh stamp and ping-pong the entry.
 //
-// old/new are the local before/after images (nil old = created, nil new
-// = deleted). The call never blocks on a full shard queue: the update is
+// images yields the local before/after images (nil old = created, nil new
+// = deleted); it runs on the shard worker, so the replication link that
+// calls PropagateRemote pays for neither the conversion nor a dropped
+// update's. The call never blocks on a full shard queue: the update is
 // dropped (counted in Stats.RemoteDrops) and the next synchronization
 // pass repairs the device. Returns false on drop or when stopped.
-func (u *UM) PropagateRemote(name string, old, new lexpress.Record) bool {
+func (u *UM) PropagateRemote(name string, images func() (old, new lexpress.Record)) bool {
 	u.engMu.Lock()
 	for u.paused && !u.stopped.Load() {
 		u.engCond.Wait()
@@ -484,7 +486,10 @@ func (u *UM) PropagateRemote(name string, old, new lexpress.Record) bool {
 	u.pending++
 	u.engMu.Unlock()
 
-	j := &job{enqueued: time.Now(), fn: func() { u.propagateRemote(name, old, new) }}
+	j := &job{enqueued: time.Now(), fn: func() {
+		old, new := images()
+		u.propagateRemote(name, old, new)
+	}}
 	select {
 	case u.shardFor(name) <- j:
 		return true
@@ -951,10 +956,18 @@ func (u *UM) collectGenerated(f *filter.DeviceFilter, tu *lexpress.TargetUpdate,
 	if err != nil {
 		return
 	}
+	// What the directory would hold had the device stored exactly what it
+	// was sent: an attribute whose image differs from this one is the
+	// device's own doing.
+	sent, _ := f.FromDevice().Image(tu.New)
 	any := false
 	for _, a := range img.Attrs() {
-		if ldapNew != nil && ldapNew.Has(a) {
-			continue // only NEW information flows back
+		if ldapNew != nil && ldapNew.Has(a) &&
+			(sameValues(img.Get(a), sent.Get(a)) || sameValues(img.Get(a), ldapNew.Get(a))) {
+			// Only NEW information flows back: an attribute the directory
+			// lacks, or one the device generated afresh (a re-keyed mailbox
+			// gets a new MailboxID) while the directory holds the old value.
+			continue
 		}
 		if strings.EqualFold(a, "objectclass") || strings.EqualFold(a, mcschema.AttrLastUpdater) ||
 			strings.EqualFold(a, mcschema.AttrCN) || strings.EqualFold(a, mcschema.AttrSN) {

@@ -547,8 +547,11 @@ func Start(cfg Config) (*System, error) {
 	// origin node's write-back replicates over).
 	if s.Replicator != nil {
 		s.Replicator.OnApply = func(res directory.RemoteApplied) {
-			manager.PropagateRemote(res.DN.String(), recordOf(res.Old), recordOf(res.New))
+			manager.PropagateRemote(res.DN.String(), func() (old, new lexpress.Record) {
+				return recordOf(res.Old), recordOf(res.New)
+			})
 		}
+		s.Replicator.ErrorLog = cfg.Logger
 		s.Replicator.Start()
 	}
 	ok = true
@@ -561,10 +564,8 @@ func recordOf(a *directory.Attrs) lexpress.Record {
 	if a == nil {
 		return nil
 	}
-	rec := lexpress.NewRecord()
-	for name, values := range a.Map() {
-		rec.Set(name, values...)
-	}
+	rec := make(lexpress.Record, a.Len())
+	a.EachSorted(func(name string, values []string) { rec.Set(name, values...) })
 	return rec
 }
 

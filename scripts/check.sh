@@ -8,7 +8,7 @@ cd "$(dirname "$0")/.."
 go build ./...
 go test ./...
 go vet ./...
-go test -race -count=1 ./internal/directory/... ./internal/um/... ./internal/ltap/... ./internal/filter/... ./internal/device/... ./internal/ber/... ./internal/ldapserver/... ./internal/ldapclient/... ./internal/replica/...
+go test -race -count=1 ./internal/directory/... ./internal/um/... ./internal/ltap/... ./internal/filter/... ./internal/device/... ./internal/ber/... ./internal/ldapserver/... ./internal/ldapclient/... ./internal/replica/... ./internal/record/...
 # Multi-master replication smoke: a two-node mesh, a write accepted on each
 # side, and a conflicting same-DN write — both trees must converge.
 go test -run TestMultiMasterWritesAnywhereConverge -count=1 .
@@ -21,7 +21,8 @@ go test -run TestLegacyJSONJournalMigratesToV2 -count=1 ./internal/directory/
 go test -fuzz=FuzzDecode -fuzztime=10s ./internal/ber/
 go test -fuzz=FuzzParse -fuzztime=10s ./internal/lexpress/
 go test -fuzz=FuzzCompilePattern -fuzztime=10s ./internal/lexpress/
-go test -fuzz=FuzzJournalV2Record -fuzztime=10s ./internal/directory/
+go test -fuzz=FuzzJournalV2Record -fuzztime=10s ./internal/record/
+go test -fuzz=FuzzReplicaStream -fuzztime=10s ./internal/replica/
 go test -run '^$' -bench . -benchtime=1x .
 # Wire-path load-generator smoke: spawn an in-process system, drive it for
 # two seconds, and verify the machine-readable benchmark record is written.
@@ -36,7 +37,9 @@ test -s /tmp/bench_wire_epoll_smoke.json
 # under load (the tool exits nonzero on any rejected write), journal replay.
 go run ./cmd/benchscale -pops 10000 -ops 200 -out /tmp/bench_scale_smoke.json
 test -s /tmp/bench_scale_smoke.json
-# Replication-harness smoke: a 1/2-node read sweep and a small join catch-up,
-# with the machine-readable E23 record written and non-empty.
-go run ./cmd/benchreplica -max-nodes 2 -conns 16 -duration 1s -entries 200 -join-entries 2000 -out /tmp/bench_replica_smoke.json
-test -s /tmp/bench_replica_smoke.json
+# Benchmark-module smoke: bench/ is a module of its own, so the `go test
+# ./...` above never builds it. Its tests, then a short mesh_restart pass:
+# cold starts, a join over the replication stream, writes followed to the
+# peer, fingerprints compared (exit status 2 if the gate fails).
+(cd bench && go test ./...)
+bash bench/run.sh --workload mesh_restart -short

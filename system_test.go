@@ -172,6 +172,50 @@ func TestTelephoneChangeRipplesEverywhere(t *testing.T) {
 	}
 }
 
+// TestRekeyedMailboxIDFlowsBack: a telephoneNumber change re-keys the
+// mailbox, the messaging platform mints a new MailboxID for it, and that id
+// must replace the stale one in the directory as part of the same update —
+// not wait for a synchronization pass to notice the difference.
+func TestRekeyedMailboxIDFlowsBack(t *testing.T) {
+	s := startSystem(t, metacomm.Config{})
+	c := client(t, s)
+	if err := c.Add(johnDN, johnDoeAttrs()); err != nil {
+		t.Fatal(err)
+	}
+	before, err := s.MP.Store.Get("9000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Modify(johnDN, []ldap.Change{{Op: ldap.ModReplace,
+		Attribute: ldap.Attribute{Type: "telephoneNumber", Values: []string{"+1 908 583 1234"}}}}); err != nil {
+		t.Fatal(err)
+	}
+	mbx, err := s.MP.Store.Get("1234")
+	if err != nil {
+		t.Fatalf("re-keyed mailbox missing: %v", err)
+	}
+	id := mbx.First("mailboxid")
+	if id == "" || id == before.First("mailboxid") {
+		t.Fatalf("platform kept id %q across the re-key (was %q)", id, before.First("mailboxid"))
+	}
+	e, err := c.SearchOne(&ldap.SearchRequest{BaseDN: johnDN, Scope: ldap.ScopeBaseObject})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.First("mailboxId"); got != id {
+		t.Fatalf("directory mailboxId = %q, the platform's is %q", got, id)
+	}
+	stats, err := s.UM.SynchronizeAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for dev, st := range stats {
+		if n := st.DirectoryAdds + st.DirectoryMods + st.DeviceAdds + st.DeviceMods + st.Errors; n != 0 {
+			t.Errorf("synchronization of %s found %d things to repair: %+v", dev, n, st)
+		}
+	}
+}
+
 // TestDDUPropagatesToDirectoryAndOtherDevices is the §4.4 DDU sequence: a
 // switch administrator adds a station directly on the PBX; MetaComm pulls
 // it into the directory, provisions the mailbox, and reapplies the update
