@@ -1,11 +1,11 @@
-# Tier-1 checks. `make check` is what CI (and a pre-push) should run: the
-# full build+test pass plus vet, the race detector on the concurrent core
-# (the copy-on-write DIT, the sharded UM engine, and the LTAP
-# gateway/action wire), and a one-iteration benchmark smoke.
+# Tier-1 checks. `make check` is what CI (and a pre-push) should run; the
+# sequence itself — build, tests, vet, the race detector on the concurrent
+# core, smokes, fuzz passes — is scripts/check.sh, the only copy, so that
+# environments without make run exactly the same thing.
 
 GO ?= go
 
-.PHONY: all build test vet race fuzz-smoke bench-smoke loadgen-smoke benchscale-smoke replication-smoke check bench bench-e19 bench-wire bench-scale
+.PHONY: all build test vet race check bench bench-e19 bench-wire
 
 all: check
 
@@ -18,55 +18,12 @@ test: build
 vet:
 	$(GO) vet ./...
 
-# The engine's ordering/quiesce guarantees, the DIT's copy-on-write
-# search snapshots, the filters' batched converge path, the device
-# stores' fault injection under the outbox drainer, and the wire path's
-# borrowed-buffer decode, pipelined flushing, and epoll reactor (readiness
-# events racing worker turns) are concurrency properties; run their tests
-# under the race detector.
+# Just the race-detector step of scripts/check.sh (which owns the list).
 race:
-	$(GO) test -race -count=1 ./internal/directory/... ./internal/um/... ./internal/ltap/... ./internal/filter/... ./internal/device/... ./internal/ber/... ./internal/ldapserver/... ./internal/ldapclient/... ./internal/replica/... ./internal/record/...
+	sh scripts/check.sh race
 
-# Multi-master smoke: a two-node mesh, a write accepted on each side, and a
-# conflicting same-DN write — both trees must converge to one winner. Plus
-# the benchmark module's own tests and a short mesh_restart pass (cold
-# starts, a join over the replication stream, writes followed to the peer):
-# bench/ is a module of its own, so `go test ./...` never builds it.
-replication-smoke:
-	$(GO) test -run TestMultiMasterWritesAnywhereConverge -count=1 .
-	cd bench && $(GO) test ./...
-	bash bench/run.sh --workload mesh_restart -short
-
-# Ten seconds per fuzz target: enough to shake out decoder/parser panics on
-# every run without turning check into a fuzzing campaign. The checked-in
-# corpora under testdata/fuzz replay as ordinary tests in `make test`.
-fuzz-smoke:
-	$(GO) test -fuzz=FuzzDecode -fuzztime=10s ./internal/ber/
-	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/lexpress/
-	$(GO) test -fuzz=FuzzCompilePattern -fuzztime=10s ./internal/lexpress/
-	$(GO) test -fuzz=FuzzJournalV2Record -fuzztime=10s ./internal/record/
-	$(GO) test -fuzz=FuzzReplicaStream -fuzztime=10s ./internal/replica/
-
-# One iteration of every benchmark: catches harness rot without the cost of
-# a real measurement run.
-bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime=1x .
-
-# Two seconds of the wire-path load generator against an in-process system:
-# catches harness rot (dial, seed, measure, JSON output) without a real run.
-# The second pass serves through the epoll accept loop with a mostly-idle
-# connection pool (falls back to goroutine mode off Linux).
-loadgen-smoke:
-	$(GO) run ./cmd/loadgen -spawn -conns 64 -duration 2s -warmup 500ms -entries 64 -out /tmp/bench_wire_smoke.json
-	$(GO) run ./cmd/loadgen -spawn -accept-loop epoll -conns 32 -idle-conns 96 -idle-interval 1s -duration 2s -warmup 500ms -entries 64 -out /tmp/bench_wire_epoll_smoke.json
-
-# A 10k-population pass of the scale benchmark: exercises segmented populate,
-# online compaction under load (zero rejected writes is asserted by the tool),
-# and journal-set replay, without the cost of the 1M run.
-benchscale-smoke:
-	$(GO) run ./cmd/benchscale -pops 10000 -ops 200 -out /tmp/bench_scale_smoke.json
-
-check: test vet race fuzz-smoke bench-smoke loadgen-smoke benchscale-smoke replication-smoke
+check:
+	sh scripts/check.sh
 
 # The experiment benchmarks behind EXPERIMENTS.md (long). -count is
 # parameterized so `make bench BENCH_COUNT=10 | tee new.txt` produces
@@ -89,10 +46,3 @@ bench-e19:
 # ENTRIES, ACTIVE, IDLE_TIERS, IDLE_INTERVAL (see scripts/bench_wire.sh).
 bench-wire:
 	sh scripts/bench_wire.sh
-
-# The population-scale benchmark behind EXPERIMENTS.md E21: per-op latency,
-# heap per entry, crash-recovery replay, and compaction-under-load from 1k to
-# 1M entries. Writes BENCH_scale_<rev>.json at the repo root. Tunables:
-# POPS, SEGMENTS, OPS (see scripts/bench_scale.sh).
-bench-scale:
-	sh scripts/bench_scale.sh

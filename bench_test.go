@@ -893,13 +893,9 @@ func BenchmarkE18OutageDegradation(b *testing.B) {
 // the amortization doing the work.
 func BenchmarkE19DurableWrites(b *testing.B) {
 	run := func(b *testing.B, mode directory.SyncMode, writers int) {
-		d := directory.New(nil)
-		j, err := directory.OpenJournal(b.TempDir() + "/e19.journal")
-		if err != nil {
-			b.Fatal(err)
-		}
-		j.Mode = mode
-		if _, err := d.AttachJournal(j); err != nil {
+		d := directory.NewSegmented(nil, 1)
+		if _, err := d.AttachJournalSet(directory.JournalSetConfig{
+			Base: b.TempDir() + "/e19.journal", Mode: mode}); err != nil {
 			b.Fatal(err)
 		}
 		defer d.CloseJournal()

@@ -64,9 +64,7 @@ func main() {
 		dataDir  = flag.String("data", "", "data directory for the durable directory journal (empty = in-memory)")
 		jSync    = flag.String("journal-sync", "group", "journal durability: always (fsync per update), group (one fsync per commit group), none (no fsync)")
 		jBatch   = flag.Int("journal-batch", 0, "max updates per journal commit group (0 = default)")
-		jLinger  = flag.Duration("journal-linger", 0, "how long a non-full commit group waits for more writers (0 = never)")
 		ditSegs  = flag.Int("dit-segments", 0, "DN-hash DIT segment count, each with its own lock and journal (0 = default)")
-		attachWk = flag.Int("attach-workers", 0, "startup journal-replay worker pool size (0 = GOMAXPROCS, 1 = sequential)")
 		compact  = flag.Duration("compact-interval", 0, "background journal compaction: one segment per interval, online (0 disables)")
 		replAddr = flag.String("replication", "", "replication stream listen address for read replicas and multi-master peers (empty disables)")
 		nodeID   = flag.Uint("node-id", 0, "this node's replication identity, distinct across the mesh (required with -peers)")
@@ -119,9 +117,7 @@ func main() {
 		DataDir:         *dataDir,
 		JournalSync:     *jSync,
 		JournalBatch:    *jBatch,
-		JournalLinger:   *jLinger,
 		DITSegments:     *ditSegs,
-		AttachWorkers:   *attachWk,
 		CompactInterval: *compact,
 		ReplicationAddr: *replAddr,
 		NodeID:          uint32(*nodeID),
@@ -215,10 +211,9 @@ func main() {
 		fmt.Printf("journal group sizes: 1=%d 2-4=%d 5-16=%d 17-64=%d 65-256=%d >256=%d\n",
 			js.BatchHist[0], js.BatchHist[1], js.BatchHist[2], js.BatchHist[3], js.BatchHist[4], js.BatchHist[5])
 	}
-	if js := sys.DIT.JournalStats(); js.Format != "" {
-		fmt.Printf("journal replay: format=%s records=%d bytes=%d workers=%d wall-ms=%.1f records/s=%.0f\n",
-			js.Format, js.ReplayedRecords, js.ReplayedBytes, js.ReplayWorkers,
-			float64(js.ReplayNs)/1e6, js.ReplayRecordsPerSec())
+	if js := sys.DIT.JournalStats(); js.ReplayNs > 0 {
+		fmt.Printf("journal replay: records=%d bytes=%d wall-ms=%.1f records/s=%.0f\n",
+			js.ReplayedRecords, js.ReplayedBytes, float64(js.ReplayNs)/1e6, js.ReplayRecordsPerSec())
 	}
 	ds := sys.DIT.Stats()
 	fmt.Printf("dit: segments=%d entries=%d interned-names=%d\n", ds.Segments, ds.Entries, ds.InternedNames)

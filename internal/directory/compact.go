@@ -2,7 +2,6 @@ package directory
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -92,7 +91,7 @@ func (d *DIT) Compact() error {
 	// Refresh the manifest's entry-count hint — after a full sweep every
 	// file is exactly one record per live entry, so the counts are exact.
 	if d.journalBase != "" {
-		return d.writeManifest(d.journalBase, d.journalFormat)
+		return d.writeManifest()
 	}
 	return nil
 }
@@ -156,38 +155,21 @@ func (d *DIT) compactSegment(s *segment) error {
 		return err
 	}
 	w := bufio.NewWriterSize(f, 256<<10)
-	// The rewrite is also the format migration path: the snapshot is
-	// written in the journal's CONFIGURED format, so attaching a legacy
-	// JSON set with Format v2 converts it by simply compacting.
-	switch j.Format {
-	case FormatJSON:
-		enc := json.NewEncoder(w)
-		for i := range snap {
-			rec := UpdateRecord{Op: "delete", DN: snap[i].key,
-				OriginSeq: snap[i].stamp.Seq, OriginNode: snap[i].stamp.Node}
-			if i < live {
-				rec.Op, rec.DN, rec.Attrs = "entry", snap[i].dn.String(), snap[i].attrs.Map()
-			}
-			if err := enc.Encode(&rec); err != nil {
-				f.Close()
-				return err
-			}
+	// The rewrite is also how a set of JSON-line records becomes binary:
+	// whatever the file held, the snapshot is written as frames.
+	var enc record.Encoder
+	var bin []byte
+	var rec record.Record
+	for i := range snap {
+		snap[i].record(&rec)
+		bin, err = enc.AppendRecord(bin[:0], &rec)
+		if err != nil {
+			f.Close()
+			return err
 		}
-	default:
-		var enc record.Encoder
-		var bin []byte
-		var rec record.Record
-		for i := range snap {
-			snap[i].record(&rec)
-			bin, err = enc.AppendRecord(bin[:0], &rec)
-			if err != nil {
-				f.Close()
-				return err
-			}
-			if _, err := w.Write(bin); err != nil {
-				f.Close()
-				return err
-			}
+		if _, err := w.Write(bin); err != nil {
+			f.Close()
+			return err
 		}
 	}
 	if err := w.Flush(); err != nil {
@@ -330,7 +312,7 @@ func (d *DIT) autoCompactLoop(interval time.Duration, stop, done chan struct{}) 
 			// An I/O failure here poisons the pipeline and surfaces to
 			// writers; the sweep itself just moves on.
 			if d.compactSegment(s) == nil && d.journalBase != "" {
-				_ = d.writeManifest(d.journalBase, d.journalFormat)
+				_ = d.writeManifest()
 			}
 		} else {
 			d.compactSkips.Add(1)

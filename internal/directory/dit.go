@@ -182,12 +182,11 @@ type DIT struct {
 	// nil until a journal has been attached. See JournalStats.
 	replay atomic.Pointer[replayStats]
 
-	// journalBase/journalFormat remember the attached journal set's layout
-	// so manifest refreshes (post-compaction, clean close) can rewrite
+	// journalBase remembers the attached journal set's path stem so
+	// manifest refreshes (post-compaction, clean close) can rewrite
 	// <base>.meta with current per-segment entry counts. Written once by
 	// AttachJournalSet before any compactor can run; read under compactMu.
-	journalBase   string
-	journalFormat JournalFormat
+	journalBase string
 
 	// compactMu serializes compaction sweeps (manual Compact, the
 	// auto-compactor, and CloseJournal's shutdown barrier).
@@ -207,8 +206,7 @@ type DIT struct {
 }
 
 // New returns an empty single-segment DIT. schema may be nil to disable
-// validation. Single-segment DITs accept the legacy single-file
-// AttachJournal; use NewSegmented for the partitioned form.
+// validation. Use NewSegmented for the partitioned form.
 func New(schema *Schema) *DIT { return NewSegmented(schema, 1) }
 
 // NewSegmented returns an empty DIT partitioned into n DN-hash segments
@@ -375,8 +373,8 @@ func (d *DIT) addLocked(sa, sp *segment, name dn.DN, key, parentKey string, a *A
 	delete(sa.tombstones, key)
 	d.count.Add(1)
 	seq := d.seq.Add(1)
-	rec := UpdateRecord{Seq: seq, Op: "add", DN: name.String(), Attrs: a.Map(), attrsDec: a,
-		OriginSeq: st.Seq, OriginNode: st.Node, post: a}
+	rec := UpdateRecord{Seq: seq, Op: "add", DN: name.String(), image: a,
+		OriginSeq: st.Seq, OriginNode: st.Node}
 	return d.commitLocked(sa, rec), nil
 }
 
@@ -456,7 +454,7 @@ func (d *DIT) modifyLocked(s *segment, name dn.DN, key string, changes []ldap.Ch
 	rec := modifyRecord(name, changes)
 	rec.Seq = seq
 	rec.OriginSeq, rec.OriginNode = st.Seq, st.Node
-	rec.post = work
+	rec.image = work
 	return d.commitLocked(s, rec), nil
 }
 
@@ -675,7 +673,7 @@ func (d *DIT) modifyDNLocked(name dn.DN, newRDN dn.RDN, deleteOldRDN bool) (comm
 	seq := d.seq.Add(1)
 	logical := UpdateRecord{Seq: seq, Op: "modifydn", DN: name.String(),
 		NewRDN: newRDN.String(), DeleteOldRDN: deleteOldRDN,
-		OriginSeq: st.Seq, OriginNode: st.Node, post: work}
+		OriginSeq: st.Seq, OriginNode: st.Node, image: work}
 	if journaled {
 		if err := d.journalRenameParts(seq, st, moves); err != nil {
 			d.em.skip(seq)

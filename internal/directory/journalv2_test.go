@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"metacomm/internal/dn"
@@ -19,23 +21,21 @@ import (
 // v2TestRecords is one record of every op shape the journal can carry.
 func v2TestRecords() []UpdateRecord {
 	return []UpdateRecord{
-		{Op: "add", Seq: 1, DN: "cn=A,o=Lucent", Attrs: map[string][]string{
-			"objectClass": {"person"}, "cn": {"A"}, "telephoneNumber": {"555-0001", "555-0002"}}},
-		{Op: "entry", Seq: 42, DN: "o=Lucent", normKey: "o=lucent", Attrs: map[string][]string{
-			"objectClass": {"organization"}}},
+		{Op: "add", Seq: 1, DN: "cn=A,o=Lucent", image: AttrsFrom(map[string][]string{
+			"objectClass": {"person"}, "cn": {"A"}, "telephoneNumber": {"555-0001", "555-0002"}})},
+		{Op: "entry", Seq: 42, DN: "o=Lucent", normKey: "o=lucent", image: AttrsFrom(map[string][]string{
+			"objectClass": {"organization"}})},
 		{Op: "delete", Seq: 7, DN: "cn=B,o=Lucent"},
 		{Op: "modify", Seq: 9, DN: "cn=A,o=Lucent", Changes: []UpdateChange{
 			{Op: "add", Attr: "mail", Values: []string{"a@x"}},
 			{Op: "delete", Attr: "roomNumber"},
 			{Op: "replace", Attr: "cn", Values: []string{"A", "Alice"}}}},
 		{Op: "modifydn", Seq: 11, DN: "cn=A,o=Lucent", NewRDN: "cn=Alice", DeleteOldRDN: true},
-		{Op: "add", Seq: 1 << 40, DN: "", Attrs: map[string][]string{}},
+		{Op: "add", Seq: 1 << 40, DN: "", image: NewAttrs()},
 	}
 }
 
-// sameRecord compares a decoded record against the original, reading the
-// decoded attribute set through attrsValue (the decoder produces *Attrs,
-// not the map).
+// sameRecord compares a decoded record against the original.
 func sameRecord(t *testing.T, want, got *UpdateRecord) {
 	t.Helper()
 	if got.Op != want.Op || got.Seq != want.Seq || got.DN != want.DN ||
@@ -47,9 +47,9 @@ func sameRecord(t *testing.T, want, got *UpdateRecord) {
 		t.Fatalf("decoded changes differ:\n%+v\nvs\n%+v", got.Changes, want.Changes)
 	}
 	if want.Op == "add" || want.Op == "entry" {
-		if !got.attrsValue().Equal(AttrsFrom(want.Attrs)) {
+		if !got.image.Equal(want.image) {
 			t.Fatalf("decoded attrs of %s differ:\n%v\nvs\n%v",
-				want.DN, got.attrsValue().Map(), want.Attrs)
+				want.DN, got.image.Map(), want.image.Map())
 		}
 	}
 }
@@ -86,16 +86,12 @@ func TestV2RecordRoundTrip(t *testing.T) {
 	}
 }
 
-// TestV2JournalOnDisk asserts a default-config journal set writes v2 frames
-// and reports the format through JournalStats.
+// TestV2JournalOnDisk asserts a journal set writes v2 frames and reports its
+// replay through JournalStats.
 func TestV2JournalOnDisk(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "dir.journal")
 	d := segmentedDIT(t, base, 4)
 	seedOrg(t, d, 32)
-	st := d.JournalStats()
-	if st.Format != "v2" {
-		t.Fatalf("live format = %q, want v2", st.Format)
-	}
 	d.CloseJournal()
 	for i := 0; i < 4; i++ {
 		b, err := os.ReadFile(segJournalPath(base, i))
@@ -108,8 +104,8 @@ func TestV2JournalOnDisk(t *testing.T) {
 	}
 	restored := reopenSet(t, base, 4)
 	sameState(t, d, restored)
-	st = restored.JournalStats()
-	if st.Format != "v2" || st.ReplayedRecords != 33 || st.ReplayedBytes == 0 ||
+	st := restored.JournalStats()
+	if st.ReplayedRecords != 33 || st.ReplayedBytes == 0 ||
 		st.ReplayNs <= 0 || len(st.SegmentReplayNs) != 4 {
 		t.Fatalf("replay stats = %+v", st)
 	}
@@ -132,7 +128,7 @@ func TestV2TornTailTolerated(t *testing.T) {
 	// Encode one more frame and append only part of it.
 	var enc record.Encoder
 	extra, err := appendRecord(&enc, nil, &UpdateRecord{Op: "add", Seq: 999,
-		DN: "cn=torn,o=Lucent", Attrs: map[string][]string{"cn": {"torn"}}})
+		DN: "cn=torn,o=Lucent", image: AttrsFrom(map[string][]string{"cn": {"torn"}})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,82 +222,60 @@ func TestV2CorruptMidFileSurfaces(t *testing.T) {
 	}
 }
 
-// TestV2MixedFormatFileReplays appends v2 frames to a JSON segment file —
-// the state a crash leaves when a format switch has appended new records
-// but the migrating compaction has not rewritten the file yet — and
-// requires replay to apply both.
-func TestV2MixedFormatFileReplays(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "dir.journal")
-	d := NewSegmented(nil, 1)
-	if _, err := d.AttachJournalSet(JournalSetConfig{Base: base, Mode: SyncGroup, Format: FormatJSON}); err != nil {
-		t.Fatal(err)
-	}
-	seedOrg(t, d, 5)
-	d.CloseJournal()
+// The checked-in JSON-era journal sets under testdata/ were written by the
+// last build that had a JSON writer (PR 12): 4 segments, 33 records — adds,
+// modifies with every change op, a delete, a leaf and a subtree rename as
+// per-entry delete+entry parts, a remote upsert, and the tombstone-only
+// stamped delete of cn=ghost — under a manifest that still carries
+// "format":"json". json-set-torn is the same set with a crash's half-written
+// line at the end of segment 2. That build restores both to this state.
+const (
+	jsonSetSegments    = 4
+	jsonSetRecords     = 33
+	jsonSetEntries     = 17
+	jsonSetFingerprint = "eed6e574eb4428373227bfd96ab3120e65e1e790605e89d5f6e0379ddc26a849"
+)
 
-	seg0 := segJournalPath(base, 0)
-	var enc record.Encoder
-	frame, err := appendRecord(&enc, nil, &UpdateRecord{Op: "add", Seq: d.Seq() + 1,
-		DN: "cn=binary,o=Lucent", Attrs: map[string][]string{"cn": {"binary"}}})
+// copyJSONSet copies testdata/<name> into a temp dir and returns its base.
+func copyJSONSet(t *testing.T, name string) string {
+	t.Helper()
+	dir := t.TempDir()
+	files, err := os.ReadDir(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.OpenFile(seg0, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	restored := reopenSet(t, base, 1)
-	if _, err := restored.Get(dn.MustParse("cn=binary,o=Lucent")); err != nil {
-		t.Fatalf("v2 record after JSON records lost: %v", err)
-	}
-	if restored.Len() != d.Len()+1 {
-		t.Fatalf("restored %d entries, want %d", restored.Len(), d.Len()+1)
-	}
-}
-
-// TestLegacyJSONJournalMigratesToV2 is the check.sh migration smoke: a
-// journal set written in JSON attaches under the v2 default, migrates in
-// place, and a second attach replays pure v2 with identical contents.
-func TestLegacyJSONJournalMigratesToV2(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "dir.journal")
-	d := NewSegmented(nil, 4)
-	if _, err := d.AttachJournalSet(JournalSetConfig{Base: base, Mode: SyncGroup, Format: FormatJSON}); err != nil {
-		t.Fatal(err)
-	}
-	seedOrg(t, d, 40)
-	if err := d.Modify(dn.MustParse("cn=p1,o=Lucent"), []ldap.Change{
-		{Op: ldap.ModAdd, Attribute: ldap.Attribute{Type: "mail", Values: []string{"p1@x"}}}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Delete(dn.MustParse("cn=p2,o=Lucent")); err != nil {
-		t.Fatal(err)
-	}
-	d.CloseJournal()
-	if st := d.JournalStats(); st.Format != "json" {
-		t.Fatalf("source format = %q, want json", st.Format)
-	}
-	for i := 0; i < 4; i++ {
-		b, err := os.ReadFile(segJournalPath(base, i))
+	for _, f := range files {
+		b, err := os.ReadFile(filepath.Join("testdata", name, f.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(b) == 0 || b[0] != '{' {
-			t.Fatalf("segment %d is not JSON before migration", i)
+		if err := os.WriteFile(filepath.Join(dir, f.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
+	return filepath.Join(dir, "dir.journal")
+}
 
-	migrated := reopenSet(t, base, 4)
-	sameState(t, d, migrated)
-	mustAddP(t, migrated, "cn=post-migration,o=Lucent", map[string][]string{"cn": {"post-migration"}})
-	migrated.CloseJournal()
+// checkJSONSetState asserts d holds exactly what the JSON set's writer held,
+// including the tombstone (which Fingerprint leaves out): an upsert of
+// cn=ghost older than its delete must still lose.
+func checkJSONSetState(t *testing.T, d *DIT) {
+	t.Helper()
+	if got := d.Fingerprint(); got != jsonSetFingerprint || d.Len() != jsonSetEntries {
+		t.Fatalf("fingerprint %s (%d entries), want %s (%d)", got, d.Len(), jsonSetFingerprint, jsonSetEntries)
+	}
+	res, err := d.ApplyRemote(dn.MustParse("cn=ghost,o=Lucent"),
+		AttrsFrom(map[string][]string{"cn": {"ghost"}}), Stamp{Seq: 8999, Node: 7}, false)
+	if err != nil || res.Applied {
+		t.Fatalf("stale upsert over the replayed tombstone: applied=%v err=%v", res.Applied, err)
+	}
+}
 
-	// Migration rewrote every file as v2 frames and stamped the manifest.
-	for i := 0; i < 4; i++ {
+// checkV2Set asserts every segment file at base starts with the v2 marker
+// and the manifest carries no format key.
+func checkV2Set(t *testing.T, base string, segments int) {
+	t.Helper()
+	for i := 0; i < segments; i++ {
 		b, err := os.ReadFile(segJournalPath(base, i))
 		if err != nil {
 			t.Fatal(err)
@@ -314,30 +288,89 @@ func TestLegacyJSONJournalMigratesToV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m journalManifest
-	if err := json.Unmarshal(mb, &m); err != nil || m.Format != "v2" {
+	var m map[string]any
+	if err := json.Unmarshal(mb, &m); err != nil || m["segments"] != float64(segments) || m["format"] != nil {
 		t.Fatalf("manifest after migration: %s (%v)", mb, err)
 	}
+}
 
-	again := reopenSet(t, base, 4)
-	sameState(t, migrated, again)
-	if st := again.JournalStats(); st.Format != "v2" {
-		t.Fatalf("format after second attach = %q, want v2", st.Format)
+// TestLegacyJSONJournalMigratesToV2 is the check.sh migration smoke: a
+// journal set written in JSON attaches, is rewritten in place as v2, and a
+// second attach replays pure v2 with identical contents.
+func TestLegacyJSONJournalMigratesToV2(t *testing.T) {
+	base := copyJSONSet(t, "json-set")
+	migrated := reopenSet(t, base, jsonSetSegments)
+	if st := migrated.JournalStats(); st.ReplayedRecords != jsonSetRecords {
+		t.Fatalf("replayed %d records, want %d", st.ReplayedRecords, jsonSetRecords)
 	}
+	checkJSONSetState(t, migrated)
+	mustAddP(t, migrated, "cn=post-migration,o=Lucent", map[string][]string{"cn": {"post-migration"}})
+	migrated.CloseJournal()
+	checkV2Set(t, base, jsonSetSegments)
+
+	again := reopenSet(t, base, jsonSetSegments)
+	sameState(t, migrated, again)
+	if err := again.Delete(dn.MustParse("cn=post-migration,o=Lucent")); err != nil {
+		t.Fatal(err)
+	}
+	checkJSONSetState(t, again)
+	// One record per live entry and per tombstone, plus the add: the second
+	// attach found nothing to migrate, so nothing was compacted away yet.
+	if cs := again.CompactionStats(); cs.Runs != 0 {
+		t.Fatalf("second attach compacted %d segments: still migrating a v2 set", cs.Runs)
+	}
+}
+
+// TestLegacyJSONTornTailTolerated: the JSON decode keeps the torn-tail rule
+// (TestV2TornTailTolerated is the binary twin) — the half-written final line
+// is truncated and counted, every complete record applies.
+func TestLegacyJSONTornTailTolerated(t *testing.T) {
+	base := copyJSONSet(t, "json-set-torn")
+	d := reopenSet(t, base, jsonSetSegments)
+	if st := d.JournalStats(); st.TornTails != 1 || st.ReplayedRecords != jsonSetRecords {
+		t.Fatalf("TornTails = %d, records = %d; want 1, %d", st.TornTails, st.ReplayedRecords, jsonSetRecords)
+	}
+	checkJSONSetState(t, d)
+}
+
+// TestV2MixedFormatFileReplays appends a v2 frame to a JSON segment file —
+// the state a crash leaves when this build has appended new records but the
+// migrating compaction has not rewritten the file yet — and requires replay
+// to apply both.
+func TestV2MixedFormatFileReplays(t *testing.T) {
+	base := copyJSONSet(t, "json-set")
+	name := dn.MustParse("cn=binary,o=Lucent")
+	var enc record.Encoder
+	frame, err := appendRecord(&enc, nil, &UpdateRecord{Op: "add", Seq: 9999, DN: name.String(),
+		image: AttrsFrom(map[string][]string{"cn": {"binary"}}), OriginSeq: 9999, OriginNode: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(segJournalPath(base, NewSegmented(nil, jsonSetSegments).segIndex(name.Normalize())),
+		os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	restored := reopenSet(t, base, jsonSetSegments)
+	if _, err := restored.Get(name); err != nil {
+		t.Fatalf("v2 record after JSON records lost: %v", err)
+	}
+	if err := restored.Delete(name); err != nil {
+		t.Fatal(err)
+	}
+	checkJSONSetState(t, restored)
 }
 
 // migrationCrash kills the JSON→v2 migrating compaction at the given stage
 // and asserts the next attach still restores every acked write and removes
 // the temps — the migration must be re-runnable from any crash point.
 func migrationCrash(t *testing.T, stage string) {
-	base := filepath.Join(t.TempDir(), "dir.journal")
-	d := NewSegmented(nil, 2)
-	if _, err := d.AttachJournalSet(JournalSetConfig{Base: base, Mode: SyncGroup, Format: FormatJSON}); err != nil {
-		t.Fatal(err)
-	}
-	seedOrg(t, d, 20)
-	d.CloseJournal()
-
+	base := copyJSONSet(t, "json-set")
 	injected := false
 	compactHook = func(s string, seg int) error {
 		if s == stage && !injected {
@@ -346,7 +379,7 @@ func migrationCrash(t *testing.T, stage string) {
 		}
 		return nil
 	}
-	crashed := NewSegmented(nil, 2)
+	crashed := NewSegmented(nil, jsonSetSegments)
 	_, err := crashed.AttachJournalSet(JournalSetConfig{Base: base, Mode: SyncGroup})
 	compactHook = nil
 	if err == nil {
@@ -357,9 +390,9 @@ func migrationCrash(t *testing.T, stage string) {
 	}
 	crashed.CloseJournal()
 
-	restored := reopenSet(t, base, 2)
-	sameState(t, d, restored)
-	for i := 0; i < 2; i++ {
+	restored := reopenSet(t, base, jsonSetSegments)
+	checkJSONSetState(t, restored)
+	for i := 0; i < jsonSetSegments; i++ {
 		if _, err := os.Stat(segJournalPath(base, i) + ".compact"); err == nil {
 			t.Errorf("stale .compact temp for segment %d survived attach", i)
 		}
@@ -367,10 +400,8 @@ func migrationCrash(t *testing.T, stage string) {
 	// The completed migration leaves a pure-v2 set.
 	mustAddP(t, restored, "cn=post,o=Lucent", map[string][]string{"cn": {"post"}})
 	restored.CloseJournal()
-	if st := restored.JournalStats(); st.Format != "v2" {
-		t.Fatalf("format after recovered migration = %q", st.Format)
-	}
-	final := reopenSet(t, base, 2)
+	checkV2Set(t, base, jsonSetSegments)
+	final := reopenSet(t, base, jsonSetSegments)
 	if _, err := final.Get(dn.MustParse("cn=post,o=Lucent")); err != nil {
 		t.Fatal(err)
 	}
@@ -380,15 +411,44 @@ func TestMigrationCrashAtTmpWritten(t *testing.T) { migrationCrash(t, "tmp-writt
 func TestMigrationCrashMidSplice(t *testing.T)    { migrationCrash(t, "mid-splice") }
 func TestMigrationCrashPreRename(t *testing.T)    { migrationCrash(t, "pre-rename") }
 
+// TestSingleFileJournalRefused: a file at Base is a pre-segmentation
+// journal. Attach must say so — naming the file and the remedy — and must
+// not touch the data dir: ignoring the file would start an empty directory
+// over live data.
+func TestSingleFileJournalRefused(t *testing.T) {
+	dir := t.TempDir()
+	base := filepath.Join(dir, "dir.journal")
+	content := []byte("{\"op\":\"add\",\"dn\":\"o=X\",\"attrs\":{\"o\":[\"X\"]}}\n")
+	if err := os.WriteFile(base, content, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d := NewSegmented(nil, 4)
+	_, err := d.AttachJournalSet(JournalSetConfig{Base: base, Mode: SyncGroup})
+	if err == nil {
+		d.CloseJournal()
+		t.Fatal("single-file journal attached")
+	}
+	if msg := err.Error(); !strings.Contains(msg, base) || !strings.Contains(msg, "at or before PR 12") {
+		t.Fatalf("refusal does not name the file and the remedy: %v", err)
+	}
+	files, _ := os.ReadDir(dir)
+	after, _ := os.ReadFile(base)
+	if len(files) != 1 || !bytes.Equal(after, content) {
+		t.Fatalf("refused attach touched the data dir: %d files, journal %q", len(files), after)
+	}
+	if d.Len() != 0 {
+		t.Fatalf("refused attach applied %d entries", d.Len())
+	}
+}
+
 // TestParallelAttachReplay exercises the worker-pool attach (the -race run
 // of this package drives the concurrent path) and checks the post-pass
 // rebuilt cross-segment child links.
 func TestParallelAttachReplay(t *testing.T) {
+	// Attach sizes its pool from GOMAXPROCS; force a real pool on any runner.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	base := filepath.Join(t.TempDir(), "dir.journal")
-	d := NewSegmented(nil, 8)
-	if _, err := d.AttachJournalSet(JournalSetConfig{Base: base, Mode: SyncGroup, Workers: 4}); err != nil {
-		t.Fatal(err)
-	}
+	d := segmentedDIT(t, base, 8)
 	seedOrg(t, d, 120)
 	mustAddP(t, d, "ou=Eng,o=Lucent", map[string][]string{"ou": {"Eng"}})
 	for i := 0; i < 40; i++ {
@@ -400,17 +460,12 @@ func TestParallelAttachReplay(t *testing.T) {
 	}
 	d.CloseJournal()
 
-	restored := NewSegmented(nil, 8)
-	if _, err := restored.AttachJournalSet(JournalSetConfig{Base: base, Mode: SyncGroup, Workers: 4}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { restored.CloseJournal() })
+	restored := reopenSet(t, base, 8)
 	sameState(t, d, restored)
-	st := restored.JournalStats()
-	if st.ReplayWorkers != 4 {
-		t.Fatalf("ReplayWorkers = %d, want 4", st.ReplayWorkers)
+	if w := restored.replay.Load().Workers; w != 4 {
+		t.Fatalf("replay workers = %d, want 4", w)
 	}
-	if len(st.SegmentReplayNs) != 8 {
+	if st := restored.JournalStats(); len(st.SegmentReplayNs) != 8 {
 		t.Fatalf("SegmentReplayNs has %d entries, want 8", len(st.SegmentReplayNs))
 	}
 	// Child links must be rebuilt: a populated subtree refuses deletion.

@@ -4,11 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,77 +28,60 @@ import (
 // snapshot compaction. Reopening the journal replays it, restoring the
 // exact directory state.
 //
-// On a segmented DIT every segment has its own journal file and its own
-// group-commit pipeline (one fsync per group per segment; see DESIGN.md
-// §11/§13), named <base>.seg<i> and attached together via
-// AttachJournalSet. Segment journals replay independently: each file
-// carries a linear per-DN history (the router always sends a DN to the
-// same file), so replay is relaxed — "entry"/"add" upsert, modify/delete
-// apply strictly per entry, parent/child links are wired in one post-pass.
-// A legacy single-file journal (or a set written under a different segment
-// count) is replayed and folded into the current layout at attach.
+// Every segment has its own journal file and its own group-commit pipeline
+// (one fsync per group per segment; see DESIGN.md §11/§13), named
+// <base>.seg<i> and attached together via AttachJournalSet. Segment
+// journals replay independently: each file carries a linear per-DN history
+// (the router always sends a DN to the same file), so replay is relaxed —
+// "entry"/"add" upsert, modify/delete apply strictly per entry, parent/child
+// links are wired in one post-pass. A set written under a different segment
+// count is replayed and folded into the current layout at attach.
 //
-// The journal is deliberately simple — newline-delimited JSON,
-// atomically-renamed snapshots — because the consistency story of MetaComm
-// does not depend on it: a directory restored from an older journal is just
-// a repository that missed updates, which the Update Manager's
-// synchronization facility reconciles. The same stance covers the one
-// cross-segment operation: a ModifyDN journals as per-entry delete+entry
+// The journal is deliberately simple — one CRC-framed record format
+// (internal/record), atomically-renamed snapshots — because the consistency
+// story of MetaComm does not depend on it: a directory restored from an
+// older journal is just a repository that missed updates, which the Update
+// Manager's synchronization facility reconciles. The same stance covers the
+// one cross-segment operation: a ModifyDN journals as per-entry delete+entry
 // records in the affected segments' files, durable per the sync mode
 // before the call returns, but a crash mid-write can persist a subset of
 // the rename — an older-state repository that sync reconciles.
 
 // UpdateRecord is one committed update, as written to the journal and
 // streamed to replicas. Seq is assigned at commit; replay derives order
-// from file position, so records journaled before sequencing existed (or
-// compaction's "entry" records) replay identically.
+// from file position, so compaction's "entry" records (and records
+// journaled before sequencing existed) replay identically.
 type UpdateRecord struct {
-	Seq uint64 `json:"seq,omitempty"`
+	Seq uint64
 
-	Op string `json:"op"` // add | delete | modify | modifydn | entry
+	Op string // add | delete | modify | modifydn | entry
 
-	DN    string              `json:"dn"`
-	Attrs map[string][]string `json:"attrs,omitempty"` // add / entry
+	DN string
 
-	Changes []UpdateChange `json:"changes,omitempty"` // modify
+	Changes []UpdateChange // modify
 
-	NewRDN       string `json:"newRDN,omitempty"` // modifydn
-	DeleteOldRDN bool   `json:"deleteOldRDN,omitempty"`
+	NewRDN       string // modifydn
+	DeleteOldRDN bool
 
 	// OriginSeq/OriginNode are the origin stamp — the (Lamport-seq,
 	// node-id) LWW coordinate of the write (replication.go). Journaled and
 	// replicated with every record; zero on records written before
-	// replication existed, which keeps old journals and the v2 codec
-	// byte-compatible (the stamp encodes as an optional trailing field).
-	OriginSeq  uint64 `json:"oseq,omitempty"`
-	OriginNode uint32 `json:"onode,omitempty"`
+	// replication existed (the stamp encodes as an optional trailing field).
+	OriginSeq  uint64
+	OriginNode uint32
 
-	// attrsDec, when non-nil, is the add/entry attribute set as a decoded
-	// *Attrs. The v2 codec decodes straight into this form (and compaction
-	// encodes straight out of it), skipping the map[string][]string round
-	// trip; Attrs stays authoritative for JSON records and the changelog.
-	attrsDec *Attrs
+	// image is the full attribute state the update left behind (nil for
+	// deletes), shared with the tree's copy-on-write value and never
+	// mutated. It is what an add/entry record journals and replays; on
+	// modify/modifydn it is attached at commit time for changelog consumers
+	// that need images rather than deltas (see PostImage) and is not
+	// journaled — replay reconstructs state, it does not need images.
+	image *Attrs
 
 	// normKey, when non-empty, is the entry's normalized DN key, carried by
-	// v2 "entry" frames (compaction knows it for free) so relaxed replay
-	// skips re-normalizing the DN. Must equal dn.Parse(DN).Normalize().
+	// "entry" frames (compaction knows it for free) so relaxed replay skips
+	// re-normalizing the DN. Must equal dn.Parse(DN).Normalize().
 	normKey string
-
-	// post, when non-nil, is the full attribute state the update left
-	// behind, attached at commit time for changelog consumers that need
-	// images rather than deltas (the replication publisher ships
-	// post-image upserts; see PostImage). Never journaled — replay
-	// reconstructs state, it does not need images.
-	post *Attrs
-}
-
-// attrsValue returns the record's attribute set as an *Attrs, preferring
-// the decoded fast-path form.
-func (r *UpdateRecord) attrsValue() *Attrs {
-	if r.attrsDec != nil {
-		return r.attrsDec
-	}
-	return AttrsFrom(r.Attrs)
 }
 
 // UpdateChange is one modification inside an UpdateRecord.
@@ -147,48 +134,14 @@ func ParseSyncMode(s string) (SyncMode, error) {
 	return SyncNone, fmt.Errorf("directory: unknown sync mode %q (want always, group, or none)", s)
 }
 
-// JournalFormat selects the on-disk record encoding. New journals default
-// to FormatV2; a journal set written in the other format is migrated at
-// attach through the compaction rewrite (replay sniffs per record, so files
-// that mix both formats — the state between a format switch and its
-// migrating compaction — always replay correctly).
-type JournalFormat int
-
-const (
-	// FormatV2 is the CRC-framed binary record codec (internal/record).
-	FormatV2 JournalFormat = iota
-	// FormatJSON is the legacy newline-delimited JSON encoding.
-	FormatJSON
-)
-
-// String returns the manifest/flag spelling of the format.
-func (f JournalFormat) String() string {
-	if f == FormatJSON {
-		return "json"
-	}
-	return "v2"
-}
-
-// ParseJournalFormat parses a journal format spelling ("" selects the
-// default, FormatV2).
-func ParseJournalFormat(s string) (JournalFormat, error) {
-	switch s {
-	case "v2", "":
-		return FormatV2, nil
-	case "json":
-		return FormatJSON, nil
-	}
-	return FormatV2, fmt.Errorf("directory: unknown journal format %q (want v2 or json)", s)
-}
-
 // DefaultJournalBatch caps how many records one commit group may carry when
 // Journal.MaxBatch is unset. Groups form from whatever is concurrently
 // staged — there is no artificial wait — so the cap only bounds worst-case
 // group latency under extreme backlog.
 const DefaultJournalBatch = 256
 
-// Journal persists committed directory updates. Configure Mode, MaxBatch,
-// and Linger before attaching; they are read by the commit pipeline.
+// Journal persists one segment's committed updates. Mode and MaxBatch are
+// set before the commit pipeline starts, which reads them.
 type Journal struct {
 	mu   sync.Mutex
 	path string
@@ -199,15 +152,6 @@ type Journal struct {
 	Mode SyncMode
 	// MaxBatch caps the records per commit group (0 = DefaultJournalBatch).
 	MaxBatch int
-	// Linger, when positive, is how long the committer waits after claiming
-	// a non-full group for more records to arrive before writing it. Zero
-	// (the default) writes immediately: batching then comes only from
-	// records staged while the previous group's fsync was in flight, which
-	// adds no latency and is usually what you want.
-	Linger time.Duration
-	// Format selects the record encoding for appends and compaction
-	// rewrites (default FormatV2). Replay is format-agnostic.
-	Format JournalFormat
 
 	fsyncs uint64 // atomic
 }
@@ -307,16 +251,12 @@ type JournalStats struct {
 	// most one per journal file; a crash mid-append leaves at most one).
 	TornTails uint64
 
-	// Format is the journal's record encoding ("v2", "json").
-	Format string
 	// Attach-time replay: records applied, journal bytes decoded, total
-	// wall time (including the cross-segment link pass), the worker count
-	// used, and per-segment-file wall times. Zero until a journal set is
-	// attached.
+	// wall time (including the cross-segment link pass), and per-segment-
+	// file wall times. Zero until a journal set is attached.
 	ReplayedRecords uint64
 	ReplayedBytes   uint64
 	ReplayNs        int64
-	ReplayWorkers   int
 	SegmentReplayNs []int64
 }
 
@@ -384,17 +324,11 @@ type committer struct {
 	stopped chan struct{}
 
 	maxBatch int
-	linger   time.Duration
 
-	// Marshaling state, reused across groups: the JSON encoder appends each
-	// record plus the record separator to buf, so the per-record
-	// append(b, '\n') allocation of the old path is gone; v2 groups frame
-	// into bin with enc2's reused payload scratch. Which pair runs is the
-	// journal's Format.
-	buf  bytes.Buffer
-	enc  *json.Encoder
-	bin  []byte
-	enc2 record.Encoder
+	// Marshaling state, reused across groups: records frame into bin with
+	// enc's reused payload scratch.
+	bin []byte
+	enc record.Encoder
 
 	// Stats, guarded by mu except the atomics.
 	appends  uint64
@@ -406,14 +340,12 @@ type committer struct {
 }
 
 func newCommitter(em *emitter, j *Journal) *committer {
-	c := &committer{em: em, j: j, stopped: make(chan struct{}),
-		maxBatch: j.MaxBatch, linger: j.Linger}
+	c := &committer{em: em, j: j, stopped: make(chan struct{}), maxBatch: j.MaxBatch}
 	if c.maxBatch <= 0 {
 		c.maxBatch = DefaultJournalBatch
 	}
 	c.work.L = &c.mu
 	c.done.L = &c.mu
-	c.enc = json.NewEncoder(&c.buf)
 	go c.run()
 	return c
 }
@@ -516,14 +448,6 @@ func (c *committer) run() {
 			// no batching, so the baseline really is fsync-per-update.
 			max = 1
 		}
-		if c.linger > 0 && len(c.queue) < max && !c.closed && max > 1 {
-			// Optional linger: give concurrent writers a window to join
-			// this group. Off by default — natural batching (records that
-			// staged during the previous group's fsync) adds no latency.
-			c.mu.Unlock()
-			time.Sleep(c.linger)
-			c.mu.Lock()
-		}
 		// Settle: writers woken by the previous group's broadcast stage
 		// staggered (scheduler latency), so the instant queue understates
 		// the group that wants to form. While arrivals keep landing and
@@ -593,25 +517,13 @@ func (c *committer) run() {
 	}
 }
 
-// writeGroup marshals the group into the reused buffer (in the journal's
-// format) and appends it to the journal with the mode's durability.
+// writeGroup frames the group into the reused buffer and appends it to the
+// journal with the mode's durability.
 func (c *committer) writeGroup(batch []UpdateRecord) (int, error) {
-	if c.j.Format == FormatJSON {
-		c.buf.Reset()
-		for i := range batch {
-			if err := c.enc.Encode(&batch[i]); err != nil {
-				return 0, err
-			}
-		}
-		if err := c.j.writeGroup(c.buf.Bytes()); err != nil {
-			return 0, err
-		}
-		return c.buf.Len(), nil
-	}
 	var err error
 	c.bin = c.bin[:0]
 	for i := range batch {
-		if c.bin, err = appendRecord(&c.enc2, c.bin, &batch[i]); err != nil {
+		if c.bin, err = appendRecord(&c.enc, c.bin, &batch[i]); err != nil {
 			return 0, err
 		}
 	}
@@ -709,39 +621,24 @@ func (d *DIT) journalRenameParts(seq uint64, st Stamp, moves []renameMove) error
 			OriginSeq: st.Seq, OriginNode: st.Node})
 		nd := m.nd
 		appendRec(d.seg(nd.key), UpdateRecord{Seq: seq, Op: "entry", DN: nd.dn.String(),
-			Attrs: nd.attrs.Map(), attrsDec: nd.attrs, OriginSeq: st.Seq, OriginNode: st.Node})
+			image: nd.attrs, OriginSeq: st.Seq, OriginNode: st.Node})
 	}
 	for _, s := range order {
 		if err := s.commit.flush(); err != nil {
 			return err
 		}
 	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	var enc2 record.Encoder
+	var enc record.Encoder
 	var bin []byte
 	for _, s := range order {
-		recs := bySeg[s]
-		var group []byte
-		if s.journal.Format == FormatJSON {
-			buf.Reset()
-			for i := range recs {
-				if err := enc.Encode(&recs[i]); err != nil {
-					return err
-				}
+		bin = bin[:0]
+		var err error
+		for i := range bySeg[s] {
+			if bin, err = appendRecord(&enc, bin, &bySeg[s][i]); err != nil {
+				return err
 			}
-			group = buf.Bytes()
-		} else {
-			bin = bin[:0]
-			var err error
-			for i := range recs {
-				if bin, err = appendRecord(&enc2, bin, &recs[i]); err != nil {
-					return err
-				}
-			}
-			group = bin
 		}
-		if err := s.journal.writeGroup(group); err != nil {
+		if err := s.journal.writeGroup(bin); err != nil {
 			s.commit.poison(err)
 			return err
 		}
@@ -749,75 +646,23 @@ func (d *DIT) journalRenameParts(seq uint64, st Stamp, moves []renameMove) error
 	return nil
 }
 
-// AttachJournal replays a legacy single-file journal into the DIT, then
-// attaches it and starts the group-commit pipeline so every future
-// committed update is appended. It returns the number of records replayed.
-// A torn trailing record (crash mid-append) is truncated and tolerated —
-// the journal ends at the last complete record, which is exactly the acked
-// prefix — but corruption followed by further complete records still
-// errors. Only single-segment DITs accept this form; segmented DITs attach
-// one journal per segment via AttachJournalSet.
-func (d *DIT) AttachJournal(j *Journal) (int, error) {
-	if len(d.segs) != 1 {
-		return 0, fmt.Errorf("directory: single-file journal on a %d-segment DIT; use AttachJournalSet", len(d.segs))
-	}
-	s := d.segs[0]
-	s.mu.RLock()
-	attached := s.journal != nil
-	s.mu.RUnlock()
-	if attached {
-		return 0, fmt.Errorf("directory: journal already attached")
-	}
-
-	start := time.Now()
-	n, nb, torn, err := d.replayFile(j.path, d.applyRecord)
-	if err != nil {
-		return n, err
-	}
-	ns := time.Since(start).Nanoseconds()
-	d.replay.Store(&replayStats{Format: j.Format, Workers: 1, Records: uint64(n),
-		Bytes: uint64(nb), WallNs: ns, SegmentNs: []int64{ns}})
-	s.mu.Lock()
-	if s.journal != nil {
-		s.mu.Unlock()
-		return n, fmt.Errorf("directory: journal already attached")
-	}
-	s.journal = j
-	s.commit = newCommitter(d.em, j)
-	if torn {
-		d.tornTails.Store(1)
-	}
-	s.mu.Unlock()
-	// Replay runs through the public ops, which emit records carrying
-	// replay-minted stamps (restoreStamp then corrects the entries, but not
-	// the emitted copies). Those must never be resumable: restart the
-	// changelog tail's coverage at the restored seq so pre-restart cursors
-	// take the snapshot fallback, which ships the corrected stamps.
-	d.resetTailTo(d.seq.Load())
-	return n, nil
-}
-
 // JournalSetConfig configures AttachJournalSet. Base is the path stem;
 // segment i journals to <Base>.seg<i> and the layout manifest lives at
-// <Base>.meta. Mode/MaxBatch/Linger/Format apply to every segment's
-// pipeline; Workers caps the attach-replay worker pool (0 = GOMAXPROCS).
+// <Base>.meta. Mode and MaxBatch apply to every segment's pipeline.
 type JournalSetConfig struct {
 	Base     string
 	Mode     SyncMode
 	MaxBatch int
-	Linger   time.Duration
-	Format   JournalFormat
-	Workers  int
 }
 
 func segJournalPath(base string, i int) string { return fmt.Sprintf("%s.seg%d", base, i) }
 
-// journalManifest records the on-disk layout so attach can tell whether
-// the existing files match the configured segment count and record format.
-// An absent format field means a set written before v2 existed, i.e. JSON.
+// journalManifest records the on-disk layout so attach can tell whether the
+// existing files match the configured segment count. Other keys are
+// ignored: builds up to PR 12 also wrote a "format" key (and, finding none,
+// rewrite the set once at attach, which is harmless).
 type journalManifest struct {
-	Segments int    `json:"segments"`
-	Format   string `json:"format,omitempty"`
+	Segments int `json:"segments"`
 	// Entries holds each segment's live entry count at the time the
 	// manifest was written (compaction, clean close, attach). It is a
 	// presize hint only — attach allocates each empty segment map at this
@@ -825,9 +670,43 @@ type journalManifest struct {
 	Entries []int `json:"entries,omitempty"`
 }
 
+// journalLayout reports the segment count the files at base were written
+// under (0 = none yet) and the manifest's presize hint. The manifest is the
+// authority, and one that cannot be used is an error, never a guess: taking
+// the configured count instead would replay only that many files and serve
+// a fraction of the directory. With no manifest — a fresh directory, or a
+// crash before the first attach got to write one — the count is what the
+// .segN files present say: the highest N, plus one.
+func journalLayout(base string) (segments int, entries []int, err error) {
+	b, err := os.ReadFile(base + ".meta")
+	if err == nil {
+		var m journalManifest
+		if uerr := json.Unmarshal(b, &m); uerr != nil || m.Segments <= 0 {
+			return 0, nil, fmt.Errorf("directory: journal manifest %s.meta is unusable (segments=%d, %v): restore it, or remove it to have the .segN files counted instead",
+				base, m.Segments, uerr)
+		}
+		return m.Segments, m.Entries, nil
+	}
+	if !errors.Is(err, fs.ErrNotExist) {
+		return 0, nil, err
+	}
+	files, err := os.ReadDir(filepath.Dir(base))
+	if err != nil {
+		return 0, nil, fmt.Errorf("directory: listing journal segments: %w", err)
+	}
+	prefix := filepath.Base(base) + ".seg"
+	for _, f := range files {
+		if rest, ok := strings.CutPrefix(f.Name(), prefix); ok {
+			if i, err := strconv.Atoi(rest); err == nil && i >= segments {
+				segments = i + 1
+			}
+		}
+	}
+	return segments, nil, nil
+}
+
 // replayStats captures one attach-time replay (see JournalStats).
 type replayStats struct {
-	Format    JournalFormat
 	Workers   int
 	Records   uint64
 	Bytes     uint64
@@ -836,7 +715,7 @@ type replayStats struct {
 }
 
 // forEachIdx runs fn(i) for every i in [0, n), fanning out over up to
-// workers goroutines (inline when workers <= 1).
+// workers goroutines (inline, in index order, when workers <= 1).
 func forEachIdx(workers, n int, fn func(int)) {
 	if workers > n {
 		workers = n
@@ -866,30 +745,27 @@ func forEachIdx(workers, n int, fn func(int)) {
 }
 
 // AttachJournalSet replays and attaches one journal per segment. It
-// returns the total records replayed across files. Three on-disk layouts
-// are accepted:
+// returns the total records replayed across files. Two on-disk layouts are
+// accepted (see journalLayout for how the layout is told):
 //
-//   - Fresh or matching segment files: each file replays relaxed into its
-//     segment(s) — linear in live entries after compaction, since a
-//     compacted file is exactly one entry record per live entry.
-//   - A legacy single-file journal at Base (pre-segmentation data dir):
-//     replayed strictly, then folded into segment files via a compaction
-//     sweep; the legacy file is removed afterwards. A crash anywhere in
-//     the migration is safe: entry upserts make re-folding idempotent.
-//   - Segment files written under a different segment count: replayed
-//     through the current router (a DN's records are totally ordered
-//     within whichever single file held them), then rewritten into the
-//     current layout and the stale files removed.
+//   - Fresh or matching segment files: the files replay CONCURRENTLY, on
+//     min(GOMAXPROCS, segments) workers — each file only ever touches its
+//     own segment's entry map, so the only cross-segment work, the
+//     parent/child link pass and the global sequence restore, runs after
+//     every file has landed. Replay is linear in live entries after
+//     compaction, since a compacted file is exactly one entry record per
+//     live entry.
+//   - Segment files written under a different segment count: replayed one
+//     at a time through the current router (a DN's records are totally
+//     ordered within whichever single file held them), then rewritten into
+//     the current layout by one compaction sweep and the surplus files
+//     removed. A crash anywhere in that re-fold is safe: entry upserts make
+//     it idempotent.
 //
-// When the on-disk layout matches the configured segment count, the files
-// replay CONCURRENTLY on a pool of cfg.Workers goroutines (default
-// GOMAXPROCS): each segment's file only ever touches that segment's entry
-// map, so the only cross-segment work — the parent/child link pass and the
-// global sequence restore — runs after every file has landed. The legacy
-// and re-fold layouts keep the sequential path (their records cross
-// segments). A set written in the other record format (manifest says so)
-// replays normally — the decoder sniffs per record — and is migrated to
-// cfg.Format through the same compaction rewrite the layout migrations use.
+// A file at Base itself — a journal from before segmentation — is refused.
+// A set holding JSON-line records (written before the binary format
+// existed) replays normally, the decoder telling the two apart per record,
+// and is rewritten in the binary format by the same compaction sweep.
 func (d *DIT) AttachJournalSet(cfg JournalSetConfig) (int, error) {
 	for _, s := range d.segs {
 		s.mu.RLock()
@@ -900,115 +776,34 @@ func (d *DIT) AttachJournalSet(cfg JournalSetConfig) (int, error) {
 		}
 	}
 
+	// No build since PR 12 reads the single-file layout, and starting an
+	// empty directory next to one would hide live data and then diverge
+	// from it — so refuse, before anything on disk is touched.
+	if _, err := os.Stat(cfg.Base); err == nil {
+		return 0, fmt.Errorf("directory: %s is a single-file journal from before segmentation, which this build does not migrate: start once with a build at or before PR 12 (it folds the file into %s.segN), then start this one",
+			cfg.Base, cfg.Base)
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		return 0, err
+	}
+	diskSegs, entriesHint, err := journalLayout(cfg.Base)
+	if err != nil {
+		return 0, err
+	}
+	// Files beyond the configured count (a larger previous layout) are
+	// folded in too, and removed after the migration.
+	nfiles := max(len(d.segs), diskSegs)
+	refold := diskSegs != 0 && diskSegs != len(d.segs)
+
 	// A crash mid-compaction leaves a .compact temporary; it is garbage
 	// (the real journal was never replaced) and must not survive.
-	for i := 0; ; i++ {
-		path := segJournalPath(cfg.Base, i) + ".compact"
-		if err := os.Remove(path); err != nil && i >= len(d.segs) {
-			break
-		}
+	for i := 0; i < nfiles; i++ {
+		os.Remove(segJournalPath(cfg.Base, i) + ".compact")
 	}
 
-	// Read the layout manifest (absence means legacy or fresh).
-	manifestPath := cfg.Base + ".meta"
-	diskSegs := 0
-	diskFormat := FormatJSON // manifests predating v2 carry no format field
-	haveManifest := false
-	var entriesHint []int
-	if b, err := os.ReadFile(manifestPath); err == nil {
-		var m journalManifest
-		if json.Unmarshal(b, &m) == nil {
-			diskSegs = m.Segments
-			haveManifest = true
-			entriesHint = m.Entries
-			if m.Format != "" {
-				if f, ferr := ParseJournalFormat(m.Format); ferr == nil {
-					diskFormat = f
-				}
-			}
-		}
-	}
-
-	total := 0
-	migrate := false
-	legacy := false
 	replayStart := time.Now()
-	rst := replayStats{Format: cfg.Format, Workers: 1}
-
-	// Legacy single-file journal: strict replay (one file carries the
-	// global order, so the original operation semantics hold exactly).
-	if _, err := os.Stat(cfg.Base); err == nil {
-		n, nb, torn, err := d.replayFile(cfg.Base, d.applyRecord)
-		if err != nil {
-			return total, err
-		}
-		if torn {
-			d.tornTails.Add(1)
-		}
-		total += n
-		rst.Records += uint64(n)
-		rst.Bytes += uint64(nb)
-		migrate = true
-		legacy = true
-	}
-
-	// A set written under a different segment count is re-folded; one
-	// written in the other record format is rewritten in cfg.Format. Both
-	// go through the same migrating compaction after attach.
-	refold := diskSegs != 0 && diskSegs != len(d.segs)
-	if refold || (haveManifest && diskFormat != cfg.Format) {
-		migrate = true
-	}
-	maxSeq := uint64(0)
-	applied := 0
-	var stale []string
-
-	if refold || legacy {
-		// Foreign layouts replay sequentially, in file order: their records
-		// route across segments through the current router, and files
-		// beyond the configured count (larger previous layout) are folded
-		// in and removed after migration.
-		scan := len(d.segs)
-		if diskSegs > scan {
-			scan = diskSegs
-		}
-		rst.SegmentNs = make([]int64, scan)
-		for i := 0; i < scan; i++ {
-			path := segJournalPath(cfg.Base, i)
-			if _, err := os.Stat(path); err != nil {
-				continue
-			}
-			t0 := time.Now()
-			n, ms, nb, torn, err := d.replayRelaxed(path)
-			if err != nil {
-				return total, err
-			}
-			if torn {
-				d.tornTails.Add(1)
-			}
-			total += n
-			applied += n
-			rst.Records += uint64(n)
-			rst.Bytes += uint64(nb)
-			rst.SegmentNs[i] = time.Since(t0).Nanoseconds()
-			if ms > maxSeq {
-				maxSeq = ms
-			}
-			if i >= len(d.segs) {
-				stale = append(stale, path)
-			}
-		}
-	} else {
-		// Matching layout: every file touches only its own segment's entry
-		// map, so the files replay concurrently on the worker pool.
-		workers := cfg.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > len(d.segs) {
-			workers = len(d.segs)
-		}
-		rst.Workers = workers
+	rst := replayStats{Workers: 1, SegmentNs: make([]int64, nfiles)}
+	if !refold {
+		rst.Workers = min(runtime.GOMAXPROCS(0), len(d.segs))
 		// Presize each empty segment map from the manifest's entry counts:
 		// a compacted file upserts exactly that many live entries, and
 		// growing a multi-hundred-thousand-key map mid-replay (repeated
@@ -1023,53 +818,34 @@ func (d *DIT) AttachJournalSet(cfg JournalSetConfig) (int, error) {
 				s.mu.Unlock()
 			}
 		}
-		type segReplay struct {
-			n    int
-			max  uint64
-			nb   int64
-			torn bool
-			ns   int64
-			err  error
-		}
-		res := make([]segReplay, len(d.segs))
-		forEachIdx(workers, len(d.segs), func(i int) {
-			path := segJournalPath(cfg.Base, i)
-			if _, err := os.Stat(path); err != nil {
-				return
-			}
-			t0 := time.Now()
-			n, ms, nb, torn, err := d.replayRelaxed(path)
-			res[i] = segReplay{n: n, max: ms, nb: nb, torn: torn,
-				ns: time.Since(t0).Nanoseconds(), err: err}
-		})
-		rst.SegmentNs = make([]int64, len(d.segs))
-		for i := range res {
-			if res[i].err != nil {
-				return total, res[i].err
-			}
-			if res[i].torn {
-				d.tornTails.Add(1)
-			}
-			total += res[i].n
-			applied += res[i].n
-			rst.Records += uint64(res[i].n)
-			rst.Bytes += uint64(res[i].nb)
-			rst.SegmentNs[i] = res[i].ns
-			if res[i].max > maxSeq {
-				maxSeq = res[i].max
-			}
-		}
 	}
+	res := make([]fileReplay, nfiles)
+	forEachIdx(rst.Workers, nfiles, func(i int) {
+		res[i] = d.replayFile(segJournalPath(cfg.Base, i))
+	})
+	migrate := refold
+	maxSeq := uint64(0)
+	for i := range res {
+		if res[i].err != nil {
+			return int(rst.Records), res[i].err
+		}
+		if res[i].torn {
+			d.tornTails.Add(1)
+		}
+		migrate = migrate || res[i].json
+		rst.Records += uint64(res[i].records)
+		rst.Bytes += uint64(res[i].bytes)
+		rst.SegmentNs[i] = res[i].ns
+		maxSeq = max(maxSeq, res[i].maxSeq)
+	}
+	total := int(rst.Records)
 	d.wireChildren(rst.Workers)
 	rst.WallNs = time.Since(replayStart).Nanoseconds()
 	d.replay.Store(&rst)
 
 	// Advance the global sequence past everything replayed so future seqs
 	// never collide with ones already on disk or streamed to replicas.
-	seq := d.seq.Load() + uint64(applied)
-	if maxSeq > seq {
-		seq = maxSeq
-	}
+	seq := max(d.seq.Load()+rst.Records, maxSeq)
 	d.seq.Store(seq)
 	d.em.advanceTo(seq)
 	// Records restored their own stamps into the clock above; raising it to
@@ -1087,27 +863,24 @@ func (d *DIT) AttachJournalSet(cfg JournalSetConfig) (int, error) {
 			}
 			return total, err
 		}
-		j.Mode, j.MaxBatch, j.Linger, j.Format = cfg.Mode, cfg.MaxBatch, cfg.Linger, cfg.Format
+		j.Mode, j.MaxBatch = cfg.Mode, cfg.MaxBatch
 		opened = append(opened, j)
 		s.mu.Lock()
 		s.journal = j
 		s.commit = newCommitter(d.em, j)
 		s.mu.Unlock()
 	}
-	d.journalBase, d.journalFormat = cfg.Base, cfg.Format
+	d.journalBase = cfg.Base
 
 	if migrate {
-		// Fold the foreign layout into the current one: one compaction
-		// sweep writes every segment's live state into its own file, after
-		// which the legacy/stale files are dead weight.
+		// One compaction sweep writes every segment's live state into its
+		// own file, in the one format this build writes; after it the
+		// surplus files of a larger previous layout are dead weight.
 		if err := d.Compact(); err != nil {
 			return total, err
 		}
-		if err := os.Remove(cfg.Base); err != nil && !os.IsNotExist(err) {
-			return total, err
-		}
-		for _, path := range stale {
-			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+		for i := len(d.segs); i < nfiles; i++ {
+			if err := os.Remove(segJournalPath(cfg.Base, i)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 				return total, err
 			}
 		}
@@ -1117,31 +890,23 @@ func (d *DIT) AttachJournalSet(cfg JournalSetConfig) (int, error) {
 			s.sizeAfterCompact = sz
 		}
 	}
-
-	if err := d.writeManifest(cfg.Base, cfg.Format); err != nil {
-		return total, err
-	}
-	return total, nil
+	return total, d.writeManifest()
 }
 
 // writeManifest persists the layout manifest (tmp+rename so it is never
-// torn). Alongside the segment count and record format it records each
-// segment's live entry count, the presize hint the next attach uses.
-// Refreshed at attach, after every full compaction, and at clean close so
-// the hint tracks the population.
-func (d *DIT) writeManifest(base string, format JournalFormat) error {
-	m := journalManifest{
-		Segments: len(d.segs),
-		Format:   format.String(),
-		Entries:  make([]int, len(d.segs)),
-	}
+// torn). Alongside the segment count it records each segment's live entry
+// count, the presize hint the next attach uses. Refreshed at attach, after
+// every full compaction, and at clean close so the hint tracks the
+// population.
+func (d *DIT) writeManifest() error {
+	m := journalManifest{Segments: len(d.segs), Entries: make([]int, len(d.segs))}
 	for i, s := range d.segs {
 		s.mu.RLock()
 		m.Entries[i] = len(s.entries)
 		s.mu.RUnlock()
 	}
 	mb, _ := json.Marshal(m)
-	path := base + ".meta"
+	path := d.journalBase + ".meta"
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, append(mb, '\n'), 0o644); err != nil {
 		return err
@@ -1189,7 +954,7 @@ func (d *DIT) CloseJournal() error {
 	// A clean close leaves the manifest's presize hint exact for the next
 	// attach (entry counts drift between compactions while serving).
 	if firstErr == nil && d.journalBase != "" {
-		firstErr = d.writeManifest(d.journalBase, d.journalFormat)
+		firstErr = d.writeManifest()
 	}
 	return firstErr
 }
@@ -1199,19 +964,14 @@ func (d *DIT) CloseJournal() error {
 func (d *DIT) JournalStats() JournalStats {
 	var out JournalStats
 	if rs := d.replay.Load(); rs != nil {
-		out.Format = rs.Format.String()
 		out.ReplayedRecords = rs.Records
 		out.ReplayedBytes = rs.Bytes
 		out.ReplayNs = rs.WallNs
-		out.ReplayWorkers = rs.Workers
 		out.SegmentReplayNs = append([]int64(nil), rs.SegmentNs...)
 	}
 	for _, s := range d.segs {
 		s.mu.RLock()
 		c := s.commit
-		if s.journal != nil && out.Format == "" {
-			out.Format = s.journal.Format.String()
-		}
 		s.mu.RUnlock()
 		if c == nil {
 			continue
@@ -1236,182 +996,121 @@ func (d *DIT) JournalStats() JournalStats {
 	return out
 }
 
+// fileReplay is what replaying one segment journal file found.
+type fileReplay struct {
+	records int
+	bytes   int64  // consumed by complete records
+	maxSeq  uint64 // highest commit seq seen
+	torn    bool   // a torn final record was truncated
+	json    bool   // the file holds JSON-line records
+	ns      int64
+	err     error
+}
+
 // replayFile applies all records from path (missing file = empty journal)
-// through apply, reporting the journal bytes consumed by complete records.
-// Each record's first byte says what it is — 0xB2 a v2 frame, anything
-// else a JSON line — so one file may mix formats (the state between a
-// format switch and its migrating compaction). A torn final record — an
-// incomplete frame, or unmarshalable bytes with nothing but emptiness
-// after them; the signature of a crash mid-append — is truncated from the
-// file and reported via torn; a damaged record followed by more data is
-// real corruption and errors.
-func (d *DIT) replayFile(path string, apply func(UpdateRecord) error) (count int, nbytes int64, torn bool, err error) {
+// through applyRelaxed. Each record's first byte says what it is — 0xB2 a
+// binary frame, anything else a JSON line — so one file may mix the two
+// (a JSON-era set appended to by this build before its migrating compaction
+// finished). A torn final record — an incomplete frame, or undecodable
+// bytes with nothing but emptiness after them; the signature of a crash
+// mid-append — is truncated from the file and reported via torn; a damaged
+// record followed by more data is real corruption and errors.
+func (d *DIT) replayFile(path string) (fr fileReplay) {
+	start := time.Now()
+	defer func() { fr.ns = time.Since(start).Nanoseconds() }()
 	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return 0, 0, false, nil
-	}
 	if err != nil {
-		return 0, 0, false, err
+		if !errors.Is(err, fs.ErrNotExist) {
+			fr.err = err
+		}
+		return fr
 	}
 	defer f.Close()
 	r := bufio.NewReaderSize(f, 256*1024)
 	var dec record.Decoder
 	var wrec record.Record
 	var rec UpdateRecord
-	var off int64 // byte offset of the record being read
 	for {
-		first, perr := r.Peek(1)
-		if perr == io.EOF {
-			return count, off, false, nil
-		}
-		if perr != nil {
-			return count, off, false, perr
-		}
-		if first[0] == record.Marker {
-			n, ferr := dec.ReadRecord(r, &wrec)
-			if ferr == record.ErrTorn {
-				// Torn tail: drop it so future appends start at a record
-				// boundary instead of extending garbage.
-				if terr := os.Truncate(path, off); terr != nil {
-					return count, off, false, fmt.Errorf("directory: truncating torn journal tail: %w", terr)
-				}
-				return count, off, true, nil
-			}
-			if ferr != nil {
-				return count, off, false, fmt.Errorf("directory: journal record %d: %w", count+1, ferr)
-			}
-			rec.setWire(&wrec)
-			if aerr := apply(rec); aerr != nil {
-				return count, off, false, fmt.Errorf("directory: replaying record %d (%s %q): %w",
-					count+1, rec.Op, rec.DN, aerr)
-			}
-			count++
-			off += int64(n)
-			continue
-		}
-		line, rerr := r.ReadBytes('\n')
-		lineLen := int64(len(line))
-		recb := bytes.TrimSuffix(line, []byte{'\n'})
-		if len(bytes.TrimSpace(recb)) > 0 {
-			var u UpdateRecord
-			if uerr := json.Unmarshal(recb, &u); uerr != nil {
-				rest, _ := io.ReadAll(r)
-				if len(bytes.TrimSpace(rest)) > 0 {
-					return count, off, false, fmt.Errorf("directory: journal record %d: %w", count+1, uerr)
-				}
-				if terr := os.Truncate(path, off); terr != nil {
-					return count, off, false, fmt.Errorf("directory: truncating torn journal tail: %w", terr)
-				}
-				return count, off, true, nil
-			}
-			if aerr := apply(u); aerr != nil {
-				return count, off, false, fmt.Errorf("directory: replaying record %d (%s %q): %w",
-					count+1, u.Op, u.DN, aerr)
-			}
-			count++
-		}
-		off += lineLen
-		if rerr == io.EOF {
-			return count, off, false, nil
-		}
-		if rerr != nil {
-			return count, off, false, rerr
-		}
-	}
-}
-
-// replayRelaxed replays one segment journal. See applyRelaxed for the
-// (deliberately weaker) semantics; maxSeq reports the highest commit seq
-// seen in the file.
-func (d *DIT) replayRelaxed(path string) (count int, maxSeq uint64, nbytes int64, torn bool, err error) {
-	count, nbytes, torn, err = d.replayFile(path, func(rec UpdateRecord) error {
-		if rec.Seq > maxSeq {
-			maxSeq = rec.Seq
-		}
-		return d.applyRelaxed(rec)
-	})
-	return count, maxSeq, nbytes, torn, err
-}
-
-// applyRecord replays one record of a legacy single-file journal through
-// the public operations — the file carries the global commit order, so
-// full LDAP semantics (parent existence, leaf-only delete, subtree
-// renames) hold at every prefix.
-func (d *DIT) applyRecord(rec UpdateRecord) error {
-	name, err := dn.Parse(rec.DN)
-	if err != nil {
-		return err
-	}
-	switch rec.Op {
-	case "add", "entry":
-		if err := d.Add(name, rec.attrsValue()); err != nil {
-			return err
-		}
-		d.restoreStamp(name.Normalize(), rec.Origin())
-		return nil
-	case "delete":
-		st := rec.Origin()
-		if err := d.Delete(name); err != nil {
-			if !st.IsZero() && CodeOf(err) == ldap.ResultNoSuchObject {
-				// A tombstone-only record: a remote delete journaled for an
-				// entry this node never held. Restore the tombstone alone.
-				d.restoreTombstone(name.Normalize(), st)
-				return nil
-			}
-			return err
-		}
-		if !st.IsZero() {
-			d.restoreTombstone(name.Normalize(), st)
-		}
-		return nil
-	case "modify":
-		changes, err := changesFromRecord(rec)
+		first, err := r.Peek(1)
 		if err != nil {
-			return err
+			if err != io.EOF {
+				fr.err = err
+			}
+			return fr
 		}
-		if err := d.Modify(name, changes); err != nil {
-			return err
+		var n int
+		if first[0] == record.Marker {
+			if n, err = dec.ReadRecord(r, &wrec); err == nil {
+				rec.setWire(&wrec)
+			}
+		} else {
+			fr.json = true
+			n, err = readJSONRecord(r, &rec)
 		}
-		d.restoreStamp(name.Normalize(), rec.Origin())
-		return nil
-	case "modifydn":
-		newRDN, err := dn.Parse(rec.NewRDN)
-		if err != nil || newRDN.Depth() != 1 {
-			return fmt.Errorf("bad newRDN %q", rec.NewRDN)
+		if err == record.ErrTorn {
+			// Drop the torn tail so future appends start at a record
+			// boundary instead of extending garbage.
+			if terr := os.Truncate(path, fr.bytes); terr != nil {
+				fr.err = fmt.Errorf("directory: truncating torn journal tail: %w", terr)
+			}
+			fr.torn = fr.err == nil
+			return fr
 		}
-		if err := d.ModifyDN(name, newRDN.RDN(), rec.DeleteOldRDN); err != nil {
-			return err
+		if err != nil {
+			fr.err = fmt.Errorf("directory: journal record %d: %w", fr.records+1, err)
+			return fr
 		}
-		d.restoreStamp(name.WithRDN(newRDN.RDN()).Normalize(), rec.Origin())
-		return nil
+		fr.bytes += int64(n)
+		if rec.Op == "" {
+			continue // blank line between JSON records
+		}
+		if err := d.applyRelaxed(rec); err != nil {
+			fr.err = fmt.Errorf("directory: replaying record %d (%s %q): %w", fr.records+1, rec.Op, rec.DN, err)
+			return fr
+		}
+		fr.records++
+		fr.maxSeq = max(fr.maxSeq, rec.Seq)
 	}
-	return fmt.Errorf("unknown journal op %q", rec.Op)
 }
 
-// restoreStamp reinstates a replayed record's origin stamp on its entry
-// (strict replay applies through the public ops, which mint fresh local
-// stamps; without this, a restarted node's entries would lose LWW to
-// stale remote state and diverge). No-op for unstamped legacy records.
-func (d *DIT) restoreStamp(key string, st Stamp) {
-	if st.IsZero() {
-		return
+// readJSONRecord decodes one newline-delimited JSON record into rec and
+// returns the line's length. No build writes this encoding any more — the
+// decode is kept so that a set written before the binary format existed
+// still attaches, once, and is rewritten. A blank line leaves rec.Op empty;
+// an undecodable line with only whitespace after it is record.ErrTorn.
+func readJSONRecord(r *bufio.Reader, rec *UpdateRecord) (int, error) {
+	line, err := r.ReadBytes('\n')
+	if err != nil && err != io.EOF {
+		return 0, err
 	}
-	d.bumpClock(st.Seq)
-	s := d.seg(key)
-	s.mu.Lock()
-	if n, ok := s.entries[key]; ok {
-		n.stamp = st
+	*rec = UpdateRecord{}
+	if len(bytes.TrimSpace(line)) == 0 {
+		return len(line), nil
 	}
-	s.mu.Unlock()
-}
-
-// restoreTombstone reinstates a replayed delete's tombstone.
-func (d *DIT) restoreTombstone(key string, st Stamp) {
-	d.bumpClock(st.Seq)
-	s := d.seg(key)
-	s.mu.Lock()
-	s.setTombstone(key, st)
-	s.mu.Unlock()
+	var j struct {
+		Seq        uint64              `json:"seq"`
+		Op         string              `json:"op"`
+		DN         string              `json:"dn"`
+		Attrs      map[string][]string `json:"attrs"`
+		Changes    []UpdateChange      `json:"changes"`
+		OriginSeq  uint64              `json:"oseq"`
+		OriginNode uint32              `json:"onode"`
+	}
+	if err := json.Unmarshal(line, &j); err != nil {
+		if rest, _ := io.ReadAll(r); len(bytes.TrimSpace(rest)) == 0 {
+			return 0, record.ErrTorn
+		}
+		return 0, err
+	}
+	if j.Op == "" {
+		return 0, fmt.Errorf("JSON record without an op")
+	}
+	*rec = UpdateRecord{Seq: j.Seq, Op: j.Op, DN: j.DN, Changes: j.Changes,
+		OriginSeq: j.OriginSeq, OriginNode: j.OriginNode}
+	if j.Op == "add" || j.Op == "entry" {
+		rec.image = AttrsFrom(j.Attrs)
+	}
+	return len(line), nil
 }
 
 // applyRelaxed replays one record of a per-segment journal. A segment file
@@ -1434,7 +1133,7 @@ func (d *DIT) applyRelaxed(rec UpdateRecord) error {
 	s := d.seg(key)
 	switch rec.Op {
 	case "add", "entry":
-		a := rec.attrsValue()
+		a := rec.image
 		st := rec.Origin()
 		d.bumpClock(st.Seq)
 		s.mu.Lock()

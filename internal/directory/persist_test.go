@@ -12,36 +12,23 @@ import (
 
 	"metacomm/internal/dn"
 	"metacomm/internal/ldap"
+	"metacomm/internal/record"
 )
 
-func journaledDIT(t *testing.T, path string) *DIT {
+// journaledDIT returns a one-segment DIT journaled at base — the set's only
+// file is segJournalPath(base, 0) — replaying whatever is already there.
+func journaledDIT(t testing.TB, base string, mode SyncMode) *DIT {
 	t.Helper()
-	d := New(nil)
-	j, err := OpenJournal(path)
-	if err != nil {
+	d := NewSegmented(nil, 1)
+	if _, err := d.AttachJournalSet(JournalSetConfig{Base: base, Mode: mode}); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { j.Close() })
-	if _, err := d.AttachJournal(j); err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(func() { d.CloseJournal() })
 	return d
 }
 
 // reopen replays the journal into a fresh DIT.
-func reopen(t *testing.T, path string) *DIT {
-	t.Helper()
-	d := New(nil)
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { j.Close() })
-	if _, err := d.AttachJournal(j); err != nil {
-		t.Fatal(err)
-	}
-	return d
-}
+func reopen(t *testing.T, base string) *DIT { return journaledDIT(t, base, SyncNone) }
 
 // sameState compares two DITs entry by entry.
 func sameState(t *testing.T, a, b *DIT) {
@@ -62,7 +49,7 @@ func sameState(t *testing.T, a, b *DIT) {
 
 func TestJournalReplayRestoresState(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dir.journal")
-	d := journaledDIT(t, path)
+	d := journaledDIT(t, path, SyncNone)
 	mustAddP(t, d, "o=Lucent", map[string][]string{"objectClass": {"organization"}})
 	mustAddP(t, d, "cn=A,o=Lucent", map[string][]string{"objectClass": {"person"}, "cn": {"A"}})
 	mustAddP(t, d, "cn=B,o=Lucent", map[string][]string{"objectClass": {"person"}, "cn": {"B"}})
@@ -99,7 +86,7 @@ func mustAddP(t *testing.T, d *DIT, name string, attrs map[string][]string) {
 
 func TestJournalFailedUpdatesNotRecorded(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dir.journal")
-	d := journaledDIT(t, path)
+	d := journaledDIT(t, path, SyncNone)
 	mustAddP(t, d, "o=Lucent", map[string][]string{"objectClass": {"organization"}})
 	// Failing operations must leave no trace.
 	d.Add(dn.MustParse("cn=x,o=Ghost"), AttrsFrom(map[string][]string{"cn": {"x"}}))
@@ -116,7 +103,7 @@ func TestJournalFailedUpdatesNotRecorded(t *testing.T) {
 
 func TestCompactPreservesStateAndShrinks(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dir.journal")
-	d := journaledDIT(t, path)
+	d := journaledDIT(t, path, SyncNone)
 	mustAddP(t, d, "o=Lucent", map[string][]string{"objectClass": {"organization"}})
 	name := dn.MustParse("cn=Busy,o=Lucent")
 	mustAddP(t, d, "cn=Busy,o=Lucent", map[string][]string{"objectClass": {"person"}, "cn": {"Busy"}})
@@ -126,11 +113,11 @@ func TestCompactPreservesStateAndShrinks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before, _ := os.Stat(path)
+	before, _ := os.Stat(segJournalPath(path, 0))
 	if err := d.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := os.Stat(path)
+	after, _ := os.Stat(segJournalPath(path, 0))
 	if after.Size() >= before.Size() {
 		t.Errorf("compaction did not shrink: %d -> %d", before.Size(), after.Size())
 	}
@@ -149,83 +136,27 @@ func TestCompactPreservesStateAndShrinks(t *testing.T) {
 
 func TestJournalDoubleAttachRejected(t *testing.T) {
 	dir := t.TempDir()
-	d := journaledDIT(t, filepath.Join(dir, "a.journal"))
-	j2, err := OpenJournal(filepath.Join(dir, "b.journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if _, err := d.AttachJournal(j2); err == nil {
+	d := journaledDIT(t, filepath.Join(dir, "a.journal"), SyncNone)
+	if _, err := d.AttachJournalSet(JournalSetConfig{Base: filepath.Join(dir, "b.journal")}); err == nil {
 		t.Error("second journal attached")
 	}
 }
 
 func TestJournalCorruptMidFileSurfaces(t *testing.T) {
 	// A garbage record FOLLOWED by more records is real corruption, not a
-	// torn tail, and must abort startup.
+	// torn tail, and must abort startup. The lines are JSON, the encoding
+	// replay still reads (TestV2CorruptMidFileSurfaces is the binary twin).
 	path := filepath.Join(t.TempDir(), "dir.journal")
 	content := "{\"op\":\"add\",\"dn\":\"o=X\",\"attrs\":{\"o\":[\"X\"]}}\n" +
 		"not-json\n" +
 		"{\"op\":\"add\",\"dn\":\"cn=a,o=X\",\"attrs\":{\"cn\":[\"a\"]}}\n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+	if err := os.WriteFile(segJournalPath(path, 0), []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d := New(nil)
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	if _, err := d.AttachJournal(j); err == nil {
+	d := NewSegmented(nil, 1)
+	if _, err := d.AttachJournalSet(JournalSetConfig{Base: path}); err == nil {
+		d.CloseJournal()
 		t.Error("corrupt journal replayed cleanly")
-	}
-}
-
-func TestJournalTornTailTolerated(t *testing.T) {
-	// A crash mid-append leaves a partial final record. Replay must
-	// truncate it, keep every complete record, and leave the journal
-	// appendable at a record boundary.
-	path := filepath.Join(t.TempDir(), "dir.journal")
-	d := journaledDIT(t, path)
-	mustAddP(t, d, "o=Lucent", map[string][]string{"objectClass": {"organization"}})
-	mustAddP(t, d, "cn=A,o=Lucent", map[string][]string{"objectClass": {"person"}, "cn": {"A"}})
-	if err := d.CloseJournal(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"op":"add","dn":"cn=torn,o=Lu`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	restored := New(nil)
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := restored.AttachJournal(j)
-	if err != nil {
-		t.Fatalf("torn tail not tolerated: %v", err)
-	}
-	if n != 2 {
-		t.Errorf("replayed %d records, want 2", n)
-	}
-	if st := restored.JournalStats(); st.TornTails != 1 {
-		t.Errorf("TornTails = %d, want 1", st.TornTails)
-	}
-	// The tail was truncated: further appends land on a record boundary
-	// and a second replay is clean.
-	mustAddP(t, restored, "cn=B,o=Lucent", map[string][]string{"objectClass": {"person"}, "cn": {"B"}})
-	if err := restored.CloseJournal(); err != nil {
-		t.Fatal(err)
-	}
-	again := reopen(t, path)
-	sameState(t, restored, again)
-	if again.Len() != 3 {
-		t.Errorf("after torn-tail recovery got %d entries, want 3", again.Len())
 	}
 }
 
@@ -234,20 +165,7 @@ func TestJournalTornTailTolerated(t *testing.T) {
 // This is the scripts/check.sh group-commit smoke.
 func TestJournalGroupCommitBatches(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dir.journal")
-	d := New(nil)
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Mode = SyncGroup
-	// A small linger makes group formation deterministic even on a
-	// single-CPU runner: the committer waits for the other writers to
-	// stage before writing the group.
-	j.Linger = 2 * time.Millisecond
-	if _, err := d.AttachJournal(j); err != nil {
-		t.Fatal(err)
-	}
-	defer d.CloseJournal()
+	d := journaledDIT(t, path, SyncGroup)
 	mustAddP(t, d, "o=Lucent", map[string][]string{"objectClass": {"organization"}})
 	const writers, each = 3, 40
 	for i := 0; i < writers; i++ {
@@ -296,15 +214,7 @@ func TestJournalGroupCommitBatches(t *testing.T) {
 func TestGroupCommitCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "dir.journal")
-	d := New(nil)
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Mode = SyncGroup
-	if _, err := d.AttachJournal(j); err != nil {
-		t.Fatal(err)
-	}
+	d := journaledDIT(t, path, SyncGroup)
 	mustAddP(t, d, "o=Lucent", map[string][]string{"objectClass": {"organization"}})
 	const writers, each = 8, 50
 	type acked struct {
@@ -348,25 +258,26 @@ func TestGroupCommitCrashRecovery(t *testing.T) {
 		ackedAtCrash[k] = v
 	}
 	ack.mu.Unlock()
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(segJournalPath(path, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var enc record.Encoder
+	inFlight, err := appendRecord(&enc, nil, &UpdateRecord{Seq: 99999, Op: "modify", DN: "cn=W0,o=Lucent",
+		Changes: []UpdateChange{{Op: "replace", Attr: "roomNumber", Values: []string{"lost"}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	crashed := filepath.Join(dir, "crashed.journal")
-	data = append(data, []byte(`{"seq":99999,"op":"modify","dn":"cn=W0,o=Luce`)...)
-	if err := os.WriteFile(crashed, data, 0o644); err != nil {
+	data = append(data, inFlight[:len(inFlight)/2]...)
+	if err := os.WriteFile(segJournalPath(crashed, 0), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
 
-	restored := New(nil)
-	j2, err := OpenJournal(crashed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if _, err := restored.AttachJournal(j2); err != nil {
-		t.Fatalf("crash replay failed: %v", err)
+	restored := reopen(t, crashed)
+	if st := restored.JournalStats(); st.TornTails != 1 {
+		t.Errorf("TornTails = %d, want 1", st.TornTails)
 	}
 	for i, want := range ackedAtCrash {
 		e, err := restored.Get(dn.MustParse(fmt.Sprintf("cn=W%d,o=Lucent", i)))
@@ -399,7 +310,7 @@ func TestGroupCommitCrashRecovery(t *testing.T) {
 func TestJournalRandomOpsProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	path := filepath.Join(t.TempDir(), "dir.journal")
-	d := journaledDIT(t, path)
+	d := journaledDIT(t, path, SyncNone)
 	mustAddP(t, d, "o=Lucent", map[string][]string{"objectClass": {"organization"}})
 
 	live := map[int]bool{}
@@ -442,17 +353,11 @@ func BenchmarkJournalAblation(b *testing.B) {
 	run := func(b *testing.B, journaled, syncEvery bool) {
 		d := New(nil)
 		if journaled {
-			j, err := OpenJournal(filepath.Join(b.TempDir(), "bench.journal"))
-			if err != nil {
-				b.Fatal(err)
-			}
+			mode := SyncNone
 			if syncEvery {
-				j.Mode = SyncAlways
+				mode = SyncAlways
 			}
-			defer j.Close()
-			if _, err := d.AttachJournal(j); err != nil {
-				b.Fatal(err)
-			}
+			d = journaledDIT(b, filepath.Join(b.TempDir(), "bench.journal"), mode)
 		}
 		if err := d.Add(dn.MustParse("o=Lucent"), AttrsFrom(map[string][]string{
 			"objectClass": {"organization"}})); err != nil {

@@ -21,15 +21,7 @@ import (
 
 func TestPipelineWritersVsCompactAndClose(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dir.journal")
-	d := New(nil)
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Mode = SyncGroup
-	if _, err := d.AttachJournal(j); err != nil {
-		t.Fatal(err)
-	}
+	d := journaledDIT(t, path, SyncGroup)
 	mustAddP(t, d, "o=Lucent", map[string][]string{"objectClass": {"organization"}})
 
 	const writers = 8
@@ -119,21 +111,13 @@ func TestPipelineWritersVsCompactAndClose(t *testing.T) {
 
 func TestPipelineCloseRejectsWithoutMutating(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dir.journal")
-	d := New(nil)
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Mode = SyncGroup
-	if _, err := d.AttachJournal(j); err != nil {
-		t.Fatal(err)
-	}
+	d := journaledDIT(t, path, SyncGroup)
 	mustAddP(t, d, "o=Lucent", map[string][]string{"objectClass": {"organization"}})
 	if err := d.CloseJournal(); err != nil {
 		t.Fatal(err)
 	}
 	seqBefore, lenBefore := d.Seq(), d.Len()
-	err = d.Add(dn.MustParse("cn=late,o=Lucent"),
+	err := d.Add(dn.MustParse("cn=late,o=Lucent"),
 		AttrsFrom(map[string][]string{"objectClass": {"person"}, "cn": {"late"}}))
 	if err != nil {
 		// Post-close the DIT detached the journal entirely, so writes
@@ -155,15 +139,7 @@ func TestPipelineCloseRejectsWithoutMutating(t *testing.T) {
 // subscription (emission happens before the writer's ack).
 func TestPipelineAckImpliesEmitted(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dir.journal")
-	d := New(nil)
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Mode = SyncGroup
-	if _, err := d.AttachJournal(j); err != nil {
-		t.Fatal(err)
-	}
+	d := journaledDIT(t, path, SyncGroup)
 	defer d.CloseJournal()
 	mustAddP(t, d, "o=Lucent", map[string][]string{"objectClass": {"organization"}})
 

@@ -81,11 +81,11 @@ func (r *UpdateRecord) Origin() Stamp {
 	return Stamp{Seq: r.OriginSeq, Node: r.OriginNode}
 }
 
-// PostImage returns the full attribute state the update left behind
-// (nil for deletes and for records restored from pre-replication
-// journals). Replication ships post-images, not deltas: images converge
-// byte-identically under reordering where deltas cannot.
-func (r *UpdateRecord) PostImage() *Attrs { return r.post }
+// PostImage returns the full attribute state the update left behind (nil
+// for deletes), shared and not to be mutated. Replication ships post-images,
+// not deltas: images converge byte-identically under reordering where
+// deltas cannot.
+func (r *UpdateRecord) PostImage() *Attrs { return r.image }
 
 // maxTombstones bounds a segment's tombstone map. When it fills, the
 // oldest-stamped half is dropped — the same age-based GC production
@@ -330,7 +330,7 @@ func (d *DIT) resolveRemote(recs []record.Record, involved []bool,
 				d.count.Add(1)
 			}
 			res.New = image
-			rec.Op, rec.Attrs, rec.attrsDec, rec.normKey, rec.post = "entry", image.Map(), image, key, image
+			rec.Op, rec.image, rec.normKey = "entry", image, key
 		}
 		lastSeq = d.seq.Add(1)
 		rec.Seq = lastSeq
@@ -555,13 +555,9 @@ func (d *DIT) Replicated(rec *UpdateRecord, out []record.Record) []record.Record
 	}
 	switch rec.Op {
 	case "add", "entry":
-		img := rec.post
-		if img == nil {
-			img = rec.attrsValue()
-		}
-		return upsert(rec.DN, rec.normKey, img)
+		return upsert(rec.DN, rec.normKey, rec.image)
 	case "modify":
-		return upsert(rec.DN, "", rec.post)
+		return upsert(rec.DN, "", rec.image)
 	case "delete":
 		return append(out, record.Record{Op: "delete", DN: rec.DN, OriginSeq: st.Seq, OriginNode: st.Node})
 	case "modifydn":
@@ -574,7 +570,7 @@ func (d *DIT) Replicated(rec *UpdateRecord, out []record.Record) []record.Record
 			return out
 		}
 		out = append(out, record.Record{Op: "delete", DN: rec.DN, OriginSeq: st.Seq, OriginNode: st.Node})
-		return upsert(name.WithRDN(newRDN.RDN()).String(), "", rec.post)
+		return upsert(name.WithRDN(newRDN.RDN()).String(), "", rec.image)
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -155,41 +156,61 @@ func TestSegmentCountChangeReplay(t *testing.T) {
 	}
 }
 
-func TestLegacyJournalMigration(t *testing.T) {
+// sixteenToEight writes 201 entries under 16 segments, damages the manifest
+// as told, and reattaches under 8: every entry must come back (re-folded,
+// the surplus files gone) or the attach must fail — never a quiet subset.
+func sixteenToEight(t *testing.T, damage func(manifest string)) (*DIT, *DIT, string, error) {
+	t.Helper()
 	base := filepath.Join(t.TempDir(), "dir.journal")
-	d := New(nil)
-	j, err := OpenJournal(base)
+	d := segmentedDIT(t, base, 16)
+	seedOrg(t, d, 200)
+	d.CloseJournal()
+	damage(base + ".meta")
+	d8 := NewSegmented(nil, 8)
+	_, err := d8.AttachJournalSet(JournalSetConfig{Base: base, Mode: SyncGroup})
+	t.Cleanup(func() { d8.CloseJournal() })
+	return d, d8, base, err
+}
+
+func TestMissingManifestCountsSegmentFiles(t *testing.T) {
+	d, d8, base, err := sixteenToEight(t, func(m string) { os.Remove(m) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.AttachJournal(j); err != nil {
-		t.Fatal(err)
-	}
-	seedOrg(t, d, 25)
-	if err := d.ModifyDN(dn.MustParse("cn=p0,o=Lucent"), dn.RDN{{Attr: "cn", Value: "p0 prime"}}, true); err != nil {
-		t.Fatal(err)
-	}
-	d.CloseJournal()
-
-	migrated := reopenSet(t, base, 8)
-	sameState(t, d, migrated)
-	if _, err := os.Stat(base); !os.IsNotExist(err) {
-		t.Error("legacy journal file survived migration")
-	}
-	for i := 0; i < 8; i++ {
-		if _, err := os.Stat(segJournalPath(base, i)); err != nil {
-			t.Errorf("segment file %d missing after migration: %v", i, err)
+	sameState(t, d, d8)
+	for i := 8; i < 16; i++ {
+		if _, err := os.Stat(segJournalPath(base, i)); err == nil {
+			t.Errorf("stale segment file %d survived the re-fold", i)
 		}
 	}
-	// And the migrated layout replays on its own.
-	mustAddP(t, migrated, "cn=post,o=Lucent", map[string][]string{"cn": {"post"}})
-	migrated.CloseJournal()
-	again := reopenSet(t, base, 8)
-	if _, err := again.Get(dn.MustParse("cn=post,o=Lucent")); err != nil {
+	d8.CloseJournal()
+	sameState(t, d, reopenSet(t, base, 8))
+}
+
+func TestCorruptManifestRefused(t *testing.T) {
+	_, d8, base, err := sixteenToEight(t, func(m string) { os.WriteFile(m, []byte("{\"segments\":1"), 0o644) })
+	if err == nil || !strings.Contains(err.Error(), base+".meta") {
+		t.Fatalf("attach over an unparseable manifest: err = %v, serving %d entries", err, d8.Len())
+	}
+	if _, err := os.Stat(segJournalPath(base, 15)); err != nil {
+		t.Fatalf("refused attach removed a segment file: %v", err)
+	}
+}
+
+// TestMissingManifestMatchingCount: a crash before the first manifest write
+// leaves segment files and no manifest; the same configuration must attach.
+func TestMissingManifestMatchingCount(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "dir.journal")
+	d := segmentedDIT(t, base, 4)
+	seedOrg(t, d, 30)
+	d.CloseJournal()
+	if err := os.Remove(base + ".meta"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := again.Get(dn.MustParse("cn=p0 prime,o=Lucent")); err != nil {
-		t.Fatal(err)
+	restored := reopenSet(t, base, 4)
+	sameState(t, d, restored)
+	if cs := restored.CompactionStats(); cs.Runs != 0 {
+		t.Fatalf("matching layout was re-folded: %d compaction runs", cs.Runs)
 	}
 }
 

@@ -89,7 +89,7 @@ func (c *BeforeImageCache) subscribeLocked() {
 		if len(c.entries) >= c.max {
 			break
 		}
-		c.entries[e.DN.Normalize()] = recordFromAttrs(e.Attrs.Map())
+		c.entries[e.DN.Normalize()] = recordFromAttrs(e.Attrs)
 	}
 }
 
@@ -198,7 +198,7 @@ func (c *BeforeImageCache) applyLocked(rec directory.UpdateRecord) {
 	key := parsed.Normalize()
 	switch rec.Op {
 	case "add", "entry":
-		c.storeLocked(key, recordFromAttrs(rec.Attrs))
+		c.storeLocked(key, recordFromAttrs(rec.PostImage()))
 	case "delete":
 		if _, ok := c.entries[key]; ok {
 			delete(c.entries, key)
@@ -281,11 +281,10 @@ func (c *BeforeImageCache) invalidateSubtreeLocked(key string) {
 	}
 }
 
-// recordFromAttrs builds a Record from a directory attribute map.
-func recordFromAttrs(m map[string][]string) lexpress.Record {
-	rec := make(lexpress.Record, len(m))
-	for k, vs := range m {
-		rec.Set(k, vs...)
-	}
+// recordFromAttrs builds a Record from a directory attribute image (Set
+// copies the values, so the shared image is never aliased).
+func recordFromAttrs(a *directory.Attrs) lexpress.Record {
+	rec := make(lexpress.Record, a.Len())
+	a.EachSorted(func(k string, vs []string) { rec.Set(k, vs...) })
 	return rec
 }

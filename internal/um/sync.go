@@ -938,10 +938,10 @@ func (e *syncEngine) reapplyExternal(d *dirtyDN) {
 					Attribute: ldap.Attribute{Type: c.Attr, Values: c.Values}})
 			}
 		case "add", "entry":
-			for attr, vals := range r.rec.Attrs {
+			r.rec.PostImage().EachSorted(func(attr string, vals []string) {
 				changes = append(changes, ldap.Change{Op: ldap.ModReplace,
 					Attribute: ldap.Attribute{Type: attr, Values: vals}})
-			}
+			})
 		default:
 			continue
 		}

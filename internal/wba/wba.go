@@ -396,7 +396,6 @@ var statusTmpl = template.Must(template.Must(pageTmpl.Clone()).Parse(`{{define "
 <tr><td>Bytes written</td><td>{{.J.Bytes}}</td></tr>
 <tr><td>Mean commit latency</td><td>{{.JMeanCommit}}</td></tr>
 <tr><td>Torn tails truncated</td><td>{{.J.TornTails}}</td></tr>
-<tr><td>Record format</td><td>{{.J.Format}}</td></tr>
 </table>
 <h3>Group size histogram</h3>
 <table border="1" cellpadding="4">
@@ -409,7 +408,6 @@ var statusTmpl = template.Must(template.Must(pageTmpl.Clone()).Parse(`{{define "
 <tr><td>Records replayed</td><td>{{.J.ReplayedRecords}}</td></tr>
 <tr><td>Journal bytes decoded</td><td>{{.J.ReplayedBytes}}</td></tr>
 <tr><td>Replay wall time</td><td>{{.JReplayWall}}</td></tr>
-<tr><td>Replay workers</td><td>{{.J.ReplayWorkers}}</td></tr>
 <tr><td>Records/s</td><td>{{.JReplayRate}}</td></tr>
 <tr><td>Per-segment wall</td><td>{{.JSegmentWall}}</td></tr>
 </table>

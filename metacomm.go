@@ -178,21 +178,13 @@ type Config struct {
 	// staged while the previous group's fsync is in flight, so the cap
 	// only bounds worst-case group latency under deep backlog.
 	JournalBatch int
-	// JournalLinger, when positive, holds a non-full commit group open
-	// that long waiting for more writers before fsyncing. Zero (default)
-	// never delays a group.
-	JournalLinger time.Duration
 	// DITSegments partitions the directory into that many DN-hash segments,
 	// each independently locked with its own journal file and commit
 	// pipeline (0 = directory.DefaultDITSegments). A data dir written under
-	// a different segment count (or by the old single-file journal) is
-	// migrated on startup.
+	// a different segment count is re-folded into this one on startup; one
+	// holding a pre-segmentation single-file journal is refused (start once
+	// with a build at or before PR 12 to convert it).
 	DITSegments int
-	// AttachWorkers caps the startup journal-replay worker pool: with a
-	// matching on-disk layout the segment files replay concurrently, one
-	// goroutine per file up to this many (0 = GOMAXPROCS, 1 = sequential).
-	// Ignored without DataDir.
-	AttachWorkers int
 	// CompactInterval, when positive, runs background journal compaction:
 	// every interval one segment (round-robin) whose journal has grown
 	// enough is rewritten online — no stop-the-world pause, replay time
@@ -288,8 +280,6 @@ func Start(cfg Config) (*System, error) {
 			Base:     filepath.Join(cfg.DataDir, "directory.journal"),
 			Mode:     mode,
 			MaxBatch: cfg.JournalBatch,
-			Linger:   cfg.JournalLinger,
-			Workers:  cfg.AttachWorkers,
 		}); err != nil {
 			return nil, fmt.Errorf("metacomm: replaying journal: %w", err)
 		}
