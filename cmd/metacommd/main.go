@@ -62,10 +62,7 @@ func main() {
 		obRetry  = flag.Int("outbox-retries", 0, "outbox replay attempts before targeted repair (0 = default)")
 		obBack   = flag.Duration("outbox-backoff", 0, "outbox base retry backoff, doubled per attempt (0 = default)")
 		dataDir  = flag.String("data", "", "data directory for the durable directory journal (empty = in-memory)")
-		jSync    = flag.String("journal-sync", "group", "journal durability: always (fsync per update), group (one fsync per commit group), none (no fsync)")
-		jBatch   = flag.Int("journal-batch", 0, "max updates per journal commit group (0 = default)")
 		ditSegs  = flag.Int("dit-segments", 0, "DN-hash DIT segment count, each with its own lock and journal (0 = default)")
-		compact  = flag.Duration("compact-interval", 0, "background journal compaction: one segment per interval, online (0 disables)")
 		replAddr = flag.String("replication", "", "replication stream listen address for read replicas and multi-master peers (empty disables)")
 		nodeID   = flag.Uint("node-id", 0, "this node's replication identity, distinct across the mesh (required with -peers)")
 		peers    = flag.String("peers", "", "comma-separated replication addresses of multi-master peers (requires -node-id)")
@@ -115,10 +112,7 @@ func main() {
 		},
 		InitialSync:     true,
 		DataDir:         *dataDir,
-		JournalSync:     *jSync,
-		JournalBatch:    *jBatch,
 		DITSegments:     *ditSegs,
-		CompactInterval: *compact,
 		ReplicationAddr: *replAddr,
 		NodeID:          uint32(*nodeID),
 		Peers:           peerList,
@@ -227,8 +221,8 @@ func main() {
 				ps.Addr, ps.Connected, ps.Cursor, ps.Resumes, ps.Snapshots, ps.Applied, ps.Noops, ps.Structural)
 		}
 	}
-	if cs := sys.DIT.CompactionStats(); cs.Runs > 0 || cs.Skips > 0 {
-		fmt.Printf("compaction: runs=%d skips=%d snapshot-entries=%d spliced-bytes=%d last-ms=%.1f\n",
-			cs.Runs, cs.Skips, cs.SnapshotEntries, cs.SplicedBytes, float64(cs.LastNs)/1e6)
+	if cs := sys.DIT.CompactionStats(); cs.Runs > 0 {
+		fmt.Printf("compaction: runs=%d snapshot-entries=%d spliced-bytes=%d last-ms=%.1f\n",
+			cs.Runs, cs.SnapshotEntries, cs.SplicedBytes, float64(cs.LastNs)/1e6)
 	}
 }

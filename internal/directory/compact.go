@@ -2,6 +2,7 @@ package directory
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -39,6 +40,11 @@ import (
 // the original journal untouched plus a dead .compact temp that attach
 // removes; a crash after it leaves the compacted journal, whose replay is
 // state-equivalent. Acked writes survive either way.
+//
+// Compaction is not scheduled: a segment is rewritten while serving once
+// its file is overgrown (see overgrown), by the DIT's one background
+// compactor, and at CloseJournal whenever its file holds anything beyond
+// its state.
 
 // compactHook, when set (crash-injection tests), runs at the named stage
 // of a segment compaction; returning an error aborts exactly as an I/O
@@ -52,10 +58,8 @@ var compactHook func(stage string, seg int) error
 // CompactionStats is a point-in-time snapshot of background/foreground
 // compaction activity.
 type CompactionStats struct {
-	// Runs counts completed segment compactions; Skips counts auto-compact
-	// ticks that found too little growth to bother.
-	Runs  uint64
-	Skips uint64
+	// Runs counts completed segment compactions.
+	Runs uint64
 	// SplicedBytes totals the live-traffic bytes spliced onto rewritten
 	// journals (phase 3 work); SnapshotEntries totals entries written into
 	// compacted snapshots (phase 2 work).
@@ -69,7 +73,6 @@ type CompactionStats struct {
 func (d *DIT) CompactionStats() CompactionStats {
 	return CompactionStats{
 		Runs:            d.compactRuns.Load(),
-		Skips:           d.compactSkips.Load(),
 		SplicedBytes:    d.compactSpliced.Load(),
 		SnapshotEntries: d.compactEntries.Load(),
 		LastNs:          d.compactLastNs.Load(),
@@ -78,7 +81,7 @@ func (d *DIT) CompactionStats() CompactionStats {
 
 // Compact rewrites every segment's journal to hold exactly the live state,
 // one segment at a time — the directory stays online throughout (see the
-// package comment above; there is no global pause). Serialized with
+// file comment above; there is no global pause). Serialized with
 // background compaction and CloseJournal.
 func (d *DIT) Compact() error {
 	d.compactMu.Lock()
@@ -91,9 +94,61 @@ func (d *DIT) Compact() error {
 	// Refresh the manifest's entry-count hint — after a full sweep every
 	// file is exactly one record per live entry, so the counts are exact.
 	if d.journalBase != "" {
-		return d.writeManifest()
+		return d.writeManifest(len(d.segs))
 	}
 	return nil
+}
+
+// snapshot collects the headers of s's live state — every entry, then every
+// tombstone — and how many of them are entries. Caller holds s.mu.
+func (s *segment) snapshot() (snap []snapEnt, live int) {
+	snap = make([]snapEnt, 0, len(s.entries)+len(s.tombstones))
+	for k, n := range s.entries {
+		snap = append(snap, snapEnt{dn: n.dn, key: k, attrs: n.attrs, stamp: n.stamp})
+	}
+	// Tombstones are state too (as stamped delete records) — without them a
+	// restarted node would forget its deletes and let stale remote upserts
+	// resurrect entries.
+	for k, ts := range s.tombstones {
+		snap = append(snap, snapEnt{key: k, stamp: ts})
+	}
+	return snap, len(s.entries)
+}
+
+// writeSnapshot frames snap to w, every record carrying seq: replay restores
+// the commit seq from the highest one on disk, and a snapshot must not hide
+// how far the sequence had got. Whatever the file held before — JSON-line
+// records included — the snapshot is written as binary frames.
+func writeSnapshot(w io.Writer, snap []snapEnt, seq uint64) error {
+	var enc record.Encoder
+	var bin []byte
+	var rec record.Record
+	for i := range snap {
+		snap[i].record(&rec)
+		rec.Seq = seq
+		var err error
+		if bin, err = enc.AppendRecord(bin[:0], &rec); err != nil {
+			return err
+		}
+		if _, err := w.Write(bin); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// appendState appends s's live state, as of commit seq, to its journal as
+// one group, as durable as the journal's mode makes any group — the first
+// half of a re-fold. Nothing else writes to the journal during an attach.
+func appendState(s *segment, seq uint64) error {
+	s.mu.RLock()
+	snap, _ := s.snapshot()
+	s.mu.RUnlock()
+	var buf bytes.Buffer
+	if err := writeSnapshot(&buf, snap, seq); err != nil {
+		return err
+	}
+	return s.journal.writeGroup(buf.Bytes(), len(snap))
 }
 
 // compactSegment rewrites one segment's journal online. Caller holds
@@ -116,23 +171,16 @@ func (d *DIT) compactSegment(s *segment) error {
 		s.mu.Unlock()
 		return err
 	}
-	var off int64
 	off, err := j.size()
 	if err != nil {
 		s.mu.Unlock()
 		return err
 	}
-	snap := make([]snapEnt, 0, len(s.entries))
-	for k, n := range s.entries {
-		snap = append(snap, snapEnt{dn: n.dn, key: k, attrs: n.attrs, stamp: n.stamp})
-	}
-	// Tombstones survive compaction too (as trailing stamped delete
-	// records) — without them a restarted node would forget its deletes
-	// and let stale remote upserts resurrect entries.
-	live := len(snap)
-	for k, ts := range s.tombstones {
-		snap = append(snap, snapEnt{key: k, stamp: ts})
-	}
+	// The snapshot holds every write of this segment up to the global
+	// commit seq (seqs are taken under the segment lock), so its records
+	// carry that seq.
+	cut, before := d.seq.Load(), j.records.Load()
+	snap, live := s.snapshot()
 	s.mu.Unlock()
 
 	// Parents before children within the segment, tombstones last — replay
@@ -154,31 +202,16 @@ func (d *DIT) compactSegment(s *segment) error {
 	if err != nil {
 		return err
 	}
+	defer f.Close() // on the failure paths; a no-op after the Close below
 	w := bufio.NewWriterSize(f, 256<<10)
-	// The rewrite is also how a set of JSON-line records becomes binary:
-	// whatever the file held, the snapshot is written as frames.
-	var enc record.Encoder
-	var bin []byte
-	var rec record.Record
-	for i := range snap {
-		snap[i].record(&rec)
-		bin, err = enc.AppendRecord(bin[:0], &rec)
-		if err != nil {
-			f.Close()
-			return err
-		}
-		if _, err := w.Write(bin); err != nil {
-			f.Close()
-			return err
-		}
+	if err := writeSnapshot(w, snap, cut); err != nil {
+		return err
 	}
 	if err := w.Flush(); err != nil {
-		f.Close()
 		return err
 	}
 	if compactHook != nil {
 		if err := compactHook("tmp-written", s.id); err != nil {
-			f.Close()
 			return err
 		}
 	}
@@ -190,40 +223,32 @@ func (d *DIT) compactSegment(s *segment) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
-		f.Close()
 		return fmt.Errorf("directory: journal closed")
 	}
 	if err := j.w.Flush(); err != nil {
-		f.Close()
 		return err
 	}
 	src, err := os.Open(j.path)
 	if err != nil {
-		f.Close()
 		return err
 	}
+	defer src.Close()
 	if _, err := src.Seek(off, io.SeekStart); err != nil {
-		src.Close()
-		f.Close()
 		return err
 	}
 	spliced, err := io.Copy(w, src)
-	src.Close()
 	if err == nil {
 		err = w.Flush()
 	}
 	if err != nil {
-		f.Close()
 		return err
 	}
 	if compactHook != nil {
 		if err := compactHook("mid-splice", s.id); err != nil {
-			f.Close()
 			return err
 		}
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
 		return err
 	}
 	if err := f.Close(); err != nil {
@@ -246,12 +271,11 @@ func (d *DIT) compactSegment(s *segment) error {
 	}
 	j.f = nf
 	j.w = bufio.NewWriter(nf)
+	// The file is the snapshot plus the records spliced from past phase 1.
+	j.records.Store(int64(len(snap)) + j.records.Load() - before)
 	if dirf, derr := os.Open(filepath.Dir(j.path)); derr == nil {
 		dirf.Sync()
 		dirf.Close()
-	}
-	if st, serr := nf.Stat(); serr == nil {
-		s.sizeAfterCompact = st.Size()
 	}
 
 	d.compactRuns.Add(1)
@@ -261,75 +285,53 @@ func (d *DIT) compactSegment(s *segment) error {
 	return nil
 }
 
-// autoCompactMinGrowth is how many bytes a segment's journal must have
-// grown since its last compaction before the background sweep bothers
-// rewriting it.
-const autoCompactMinGrowth = 256 << 10
+// compactFloor is the serving trigger's step: a committer wakes the
+// compactor each time its file's record count passes a multiple of it, and
+// no file under it is rewritten while serving — small segments are not
+// rewritten for a handful of records.
+const compactFloor = 1024
 
-// StartAutoCompact starts the background compactor: every interval it
-// visits one segment (round-robin) and compacts it if its journal grew by
-// at least autoCompactMinGrowth since last time. One goroutine, one
-// segment per tick — compaction cost is spread evenly instead of arriving
-// as one big pause. No-op if already running or interval <= 0.
-func (d *DIT) StartAutoCompact(interval time.Duration) {
-	if interval <= 0 {
-		return
-	}
-	d.autoMu.Lock()
-	defer d.autoMu.Unlock()
-	if d.autoStop != nil {
-		return
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	d.autoStop, d.autoDone = stop, done
-	go d.autoCompactLoop(interval, stop, done)
+// overgrown reports whether a journal file of records records is worth
+// rewriting while serving, given that the rewrite would write rewrite
+// records (the segment's live entries plus tombstones): it holds at least
+// compactFloor and at least twice that. Checked at every multiple of
+// compactFloor, a file therefore holds fewer than 2×rewrite + compactFloor
+// records once the compactor has caught up (unless tombstone pruning shrank
+// the state since the last check). A fresh rewrite holds exactly rewrite
+// records, so compaction never retriggers itself, and a journal that is one
+// record per entry — any seeded population — is never rewritten.
+func overgrown(records, rewrite int64) bool {
+	return records >= compactFloor && records >= 2*rewrite
 }
 
-func (d *DIT) autoCompactLoop(interval time.Duration, stop, done chan struct{}) {
-	defer close(done)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-		}
+// rewriteSize is how many records compacting s would write. Caller holds
+// s.mu.
+func (s *segment) rewriteSize() int64 { return int64(len(s.entries) + len(s.tombstones)) }
+
+// compactor rewrites every overgrown segment each time a committer wakes
+// it, until the wake channel is closed.
+func (d *DIT) compactor(wake <-chan struct{}) {
+	// retry[i] is the record count below which segment i, whose last
+	// rewrite failed, is not tried again: every wake-up, other segments'
+	// included, would retry an O(live) snapshot otherwise.
+	retry := make([]int64, len(d.segs))
+	for range wake {
 		d.compactMu.Lock()
-		s := d.segs[d.autoNext%len(d.segs)]
-		d.autoNext++
-		s.mu.RLock()
-		j := s.journal
-		s.mu.RUnlock()
-		grown := false
-		if j != nil {
-			if sz, err := j.size(); err == nil && sz-s.sizeAfterCompact >= autoCompactMinGrowth {
-				grown = true
+		for i, s := range d.segs {
+			s.mu.RLock()
+			j, rewrite := s.journal, s.rewriteSize()
+			s.mu.RUnlock()
+			if j == nil || !overgrown(j.records.Load(), rewrite) || j.records.Load() < retry[i] {
+				continue
 			}
-		}
-		if grown {
-			// An I/O failure here poisons the pipeline and surfaces to
-			// writers; the sweep itself just moves on.
-			if d.compactSegment(s) == nil && d.journalBase != "" {
-				_ = d.writeManifest()
+			// A failure that cost the journal its file poisons the pipeline
+			// and surfaces to writers; any other leaves the file as it was,
+			// to be retried once it has grown by another compactFloor.
+			retry[i] = 0
+			if err := d.compactSegment(s); err != nil {
+				retry[i] = j.records.Load() + compactFloor
 			}
-		} else {
-			d.compactSkips.Add(1)
 		}
 		d.compactMu.Unlock()
-	}
-}
-
-// stopAutoCompact stops the background compactor and waits for it to
-// finish its current sweep. Idempotent.
-func (d *DIT) stopAutoCompact() {
-	d.autoMu.Lock()
-	stop, done := d.autoStop, d.autoDone
-	d.autoStop, d.autoDone = nil, nil
-	d.autoMu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
 	}
 }

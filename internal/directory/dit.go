@@ -108,11 +108,6 @@ type segment struct {
 	// pipeline (see persist.go); commit is that pipeline.
 	journal *Journal
 	commit  *committer
-	// sizeAfterCompact is the journal's byte size right after this
-	// segment's last compaction (or attach); the auto-compactor compares it
-	// against the live size to skip segments that haven't grown. Guarded by
-	// DIT.compactMu (only the compactor touches it).
-	sizeAfterCompact int64
 }
 
 // DefaultDITSegments is the segment count metacomm configures when
@@ -188,18 +183,17 @@ type DIT struct {
 	// AttachJournalSet before any compactor can run; read under compactMu.
 	journalBase string
 
-	// compactMu serializes compaction sweeps (manual Compact, the
-	// auto-compactor, and CloseJournal's shutdown barrier).
+	// compactMu serializes compactions (manual Compact, the background
+	// compactor, and CloseJournal's shutdown barrier).
 	compactMu sync.Mutex
-	// auto-compaction goroutine lifecycle, guarded by autoMu.
-	autoMu   sync.Mutex
-	autoStop chan struct{}
-	autoDone chan struct{}
-	autoNext int // next segment in the round-robin sweep
+	// compactWake is the committers' wake-up channel for the background
+	// compactor, which AttachJournalSet starts and which runs until
+	// CloseJournal, once no committer is left to send, closes the channel.
+	// Written like journalBase; closed under compactMu.
+	compactWake chan struct{}
 
 	// Compaction counters (atomics; see CompactionStats).
 	compactRuns    atomic.Uint64
-	compactSkips   atomic.Uint64
 	compactSpliced atomic.Uint64
 	compactEntries atomic.Uint64
 	compactLastNs  atomic.Int64

@@ -92,14 +92,16 @@ func TestV2JournalOnDisk(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "dir.journal")
 	d := segmentedDIT(t, base, 4)
 	seedOrg(t, d, 32)
+	// A seed-only journal is already one record per entry: closing it, and
+	// attaching and closing it again, leaves every file byte-identical.
+	seeded := readSegs(t, base, 4)
 	d.CloseJournal()
-	for i := 0; i < 4; i++ {
-		b, err := os.ReadFile(segJournalPath(base, i))
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, b := range readSegs(t, base, 4) {
 		if len(b) > 0 && b[0] != record.Marker {
 			t.Fatalf("segment %d does not start with the v2 marker: %x", i, b[0])
+		}
+		if !bytes.Equal(b, seeded[i]) {
+			t.Fatalf("segment %d rewritten by CloseJournal", i)
 		}
 	}
 	restored := reopenSet(t, base, 4)
@@ -109,6 +111,24 @@ func TestV2JournalOnDisk(t *testing.T) {
 		st.ReplayNs <= 0 || len(st.SegmentReplayNs) != 4 {
 		t.Fatalf("replay stats = %+v", st)
 	}
+	restored.CloseJournal()
+	if !reflect.DeepEqual(readSegs(t, base, 4), seeded) {
+		t.Fatal("a reattach and close rewrote the seeded journal")
+	}
+}
+
+// readSegs returns the contents of the n segment files at base.
+func readSegs(t *testing.T, base string, n int) [][]byte {
+	t.Helper()
+	out := make([][]byte, n)
+	for i := range out {
+		b, err := os.ReadFile(segJournalPath(base, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = b
+	}
+	return out
 }
 
 // TestV2TornTailTolerated cuts the final frame short at several lengths —
@@ -239,13 +259,24 @@ const (
 // copyJSONSet copies testdata/<name> into a temp dir and returns its base.
 func copyJSONSet(t *testing.T, name string) string {
 	t.Helper()
+	return copySet(t, filepath.Join("testdata", name, "dir.journal"))
+}
+
+// copySet copies every file of the journal set at base — segment files,
+// manifest, compaction temporaries — into a fresh directory and returns the
+// copy's base: the set exactly as a crash at this instant would leave it.
+func copySet(t *testing.T, base string) string {
+	t.Helper()
 	dir := t.TempDir()
-	files, err := os.ReadDir(filepath.Join("testdata", name))
+	files, err := os.ReadDir(filepath.Dir(base))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range files {
-		b, err := os.ReadFile(filepath.Join("testdata", name, f.Name()))
+		if !strings.HasPrefix(f.Name(), filepath.Base(base)) {
+			continue
+		}
+		b, err := os.ReadFile(filepath.Join(filepath.Dir(base), f.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +284,7 @@ func copyJSONSet(t *testing.T, name string) string {
 			t.Fatal(err)
 		}
 	}
-	return filepath.Join(dir, "dir.journal")
+	return filepath.Join(dir, filepath.Base(base))
 }
 
 // checkJSONSetState asserts d holds exactly what the JSON set's writer held,
@@ -366,29 +397,30 @@ func TestV2MixedFormatFileReplays(t *testing.T) {
 	checkJSONSetState(t, restored)
 }
 
-// migrationCrash kills the JSON→v2 migrating compaction at the given stage
-// and asserts the next attach still restores every acked write and removes
-// the temps — the migration must be re-runnable from any crash point.
+// migrationCrash kills the JSON→v2 migrating compaction at the given stage,
+// and the compaction CloseJournal then starts on the half-migrated set at
+// the same stage, and asserts the next attach still restores every acked
+// write and removes the temps — the migration must be re-runnable from any
+// crash point.
 func migrationCrash(t *testing.T, stage string) {
 	base := copyJSONSet(t, "json-set")
-	injected := false
+	fired := 0
 	compactHook = func(s string, seg int) error {
-		if s == stage && !injected {
-			injected = true
+		if s == stage {
+			fired++
 			return fmt.Errorf("injected crash at %s", s)
 		}
 		return nil
 	}
+	defer func() { compactHook = nil }()
 	crashed := NewSegmented(nil, jsonSetSegments)
-	_, err := crashed.AttachJournalSet(JournalSetConfig{Base: base, Mode: SyncGroup})
-	compactHook = nil
-	if err == nil {
+	if _, err := crashed.AttachJournalSet(JournalSetConfig{Base: base, Mode: SyncGroup}); err == nil {
 		t.Fatal("migrating attach did not surface the injected crash")
 	}
-	if !injected {
-		t.Fatal("hook never fired")
+	if err := crashed.CloseJournal(); err == nil || fired < 2 {
+		t.Fatalf("close of the half-migrated set: err = %v after %d injected crashes", err, fired)
 	}
-	crashed.CloseJournal()
+	compactHook = nil
 
 	restored := reopenSet(t, base, jsonSetSegments)
 	checkJSONSetState(t, restored)

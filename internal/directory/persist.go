@@ -109,7 +109,7 @@ const (
 	SyncGroup
 )
 
-// String returns the flag spelling of the mode.
+// String returns the mode's name, as JournalStats.Mode reports it.
 func (m SyncMode) String() string {
 	switch m {
 	case SyncAlways:
@@ -121,27 +121,14 @@ func (m SyncMode) String() string {
 	}
 }
 
-// ParseSyncMode parses the -journal-sync flag spelling.
-func ParseSyncMode(s string) (SyncMode, error) {
-	switch s {
-	case "always":
-		return SyncAlways, nil
-	case "group":
-		return SyncGroup, nil
-	case "none", "":
-		return SyncNone, nil
-	}
-	return SyncNone, fmt.Errorf("directory: unknown sync mode %q (want always, group, or none)", s)
-}
+// maxCommitGroup caps how many records one commit group may carry.
+// Groups form from whatever is concurrently staged — there is no artificial
+// wait — so the cap only bounds worst-case group latency under extreme
+// backlog.
+const maxCommitGroup = 256
 
-// DefaultJournalBatch caps how many records one commit group may carry when
-// Journal.MaxBatch is unset. Groups form from whatever is concurrently
-// staged — there is no artificial wait — so the cap only bounds worst-case
-// group latency under extreme backlog.
-const DefaultJournalBatch = 256
-
-// Journal persists one segment's committed updates. Mode and MaxBatch are
-// set before the commit pipeline starts, which reads them.
+// Journal persists one segment's committed updates. Mode is set before the
+// commit pipeline starts, which reads it.
 type Journal struct {
 	mu   sync.Mutex
 	path string
@@ -150,10 +137,12 @@ type Journal struct {
 
 	// Mode selects the durability mode (default SyncNone).
 	Mode SyncMode
-	// MaxBatch caps the records per commit group (0 = DefaultJournalBatch).
-	MaxBatch int
 
 	fsyncs uint64 // atomic
+	// records counts the records in the file: replayed at attach, appended
+	// since, or written by the last compaction. Changed under mu; loaded
+	// atomically by the compaction trigger.
+	records atomic.Int64
 }
 
 // OpenJournal opens (creating if needed) a journal file.
@@ -185,10 +174,11 @@ func (j *Journal) Close() error {
 	return err2
 }
 
-// writeGroup appends one marshaled commit group and makes it as durable as
-// Mode requires: flushed for SyncNone, flushed+fsynced otherwise. The
-// group's records were marshaled by the committer outside any lock.
-func (j *Journal) writeGroup(data []byte) error {
+// writeGroup appends one marshaled commit group of n records and makes it
+// as durable as Mode requires: flushed for SyncNone, flushed+fsynced
+// otherwise. The group's records were marshaled by the committer outside
+// any lock.
+func (j *Journal) writeGroup(data []byte, n int) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
@@ -200,6 +190,7 @@ func (j *Journal) writeGroup(data []byte) error {
 	if err := j.w.Flush(); err != nil {
 		return err
 	}
+	j.records.Add(int64(n))
 	if j.Mode != SyncNone {
 		atomic.AddUint64(&j.fsyncs, 1)
 		return j.f.Sync()
@@ -208,7 +199,7 @@ func (j *Journal) writeGroup(data []byte) error {
 }
 
 // size flushes buffered output and reports the journal file's current byte
-// size (the auto-compactor's growth probe).
+// size (compaction's splice offset).
 func (j *Journal) size() (int64, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -323,7 +314,9 @@ type committer struct {
 	closed  bool
 	stopped chan struct{}
 
-	maxBatch int
+	// wake is the DIT's compactor: a group that carries the file's record
+	// count past a multiple of compactFloor wakes it to check the segment.
+	wake chan<- struct{}
 
 	// Marshaling state, reused across groups: records frame into bin with
 	// enc's reused payload scratch.
@@ -339,11 +332,8 @@ type committer struct {
 	commitNs int64 // atomic
 }
 
-func newCommitter(em *emitter, j *Journal) *committer {
-	c := &committer{em: em, j: j, stopped: make(chan struct{}), maxBatch: j.MaxBatch}
-	if c.maxBatch <= 0 {
-		c.maxBatch = DefaultJournalBatch
-	}
+func newCommitter(em *emitter, j *Journal, wake chan<- struct{}) *committer {
+	c := &committer{em: em, j: j, stopped: make(chan struct{}), wake: wake}
 	c.work.L = &c.mu
 	c.done.L = &c.mu
 	go c.run()
@@ -367,10 +357,10 @@ func (c *committer) ready() error {
 
 // stage enqueues one sequenced record, or a seq-ascending run of them as
 // one unit (a remote batch: one wake-up, so the run lands in as few commit
-// groups as MaxBatch allows). Called with the segment lock held, which is
-// what guarantees queue order == this segment's commit order == journal
-// file order (global seqs are taken under the same lock, so the queue is
-// seq-ascending too).
+// groups as maxCommitGroup allows). Called with the segment lock held,
+// which is what guarantees queue order == this segment's commit order ==
+// journal file order (global seqs are taken under the same lock, so the
+// queue is seq-ascending too).
 func (c *committer) stage(recs ...UpdateRecord) {
 	c.mu.Lock()
 	c.queue = append(c.queue, recs...)
@@ -442,7 +432,7 @@ func (c *committer) run() {
 			c.mu.Unlock()
 			return
 		}
-		max := c.maxBatch
+		max := maxCommitGroup
 		if c.j.Mode == SyncAlways {
 			// The contract of always is one durability cycle per record:
 			// no batching, so the baseline really is fsync-per-update.
@@ -511,6 +501,12 @@ func (c *committer) run() {
 					break
 				}
 			}
+			if now := c.j.records.Load(); now/compactFloor != (now-int64(n))/compactFloor {
+				select {
+				case c.wake <- struct{}{}:
+				default: // a wake-up is already pending
+				}
+			}
 		}
 		c.done.Broadcast()
 		c.mu.Unlock()
@@ -527,7 +523,7 @@ func (c *committer) writeGroup(batch []UpdateRecord) (int, error) {
 			return 0, err
 		}
 	}
-	if err := c.j.writeGroup(c.bin); err != nil {
+	if err := c.j.writeGroup(c.bin, len(batch)); err != nil {
 		return 0, err
 	}
 	return len(c.bin), nil
@@ -638,7 +634,7 @@ func (d *DIT) journalRenameParts(seq uint64, st Stamp, moves []renameMove) error
 				return err
 			}
 		}
-		if err := s.journal.writeGroup(bin); err != nil {
+		if err := s.journal.writeGroup(bin, len(bySeg[s])); err != nil {
 			s.commit.poison(err)
 			return err
 		}
@@ -648,11 +644,10 @@ func (d *DIT) journalRenameParts(seq uint64, st Stamp, moves []renameMove) error
 
 // JournalSetConfig configures AttachJournalSet. Base is the path stem;
 // segment i journals to <Base>.seg<i> and the layout manifest lives at
-// <Base>.meta. Mode and MaxBatch apply to every segment's pipeline.
+// <Base>.meta. Mode applies to every segment's pipeline.
 type JournalSetConfig struct {
-	Base     string
-	Mode     SyncMode
-	MaxBatch int
+	Base string
+	Mode SyncMode
 }
 
 func segJournalPath(base string, i int) string { return fmt.Sprintf("%s.seg%d", base, i) }
@@ -671,38 +666,44 @@ type journalManifest struct {
 }
 
 // journalLayout reports the segment count the files at base were written
-// under (0 = none yet) and the manifest's presize hint. The manifest is the
-// authority, and one that cannot be used is an error, never a guess: taking
-// the configured count instead would replay only that many files and serve
-// a fraction of the directory. With no manifest — a fresh directory, or a
-// crash before the first attach got to write one — the count is what the
-// .segN files present say: the highest N, plus one.
-func journalLayout(base string) (segments int, entries []int, err error) {
+// under (0 = none yet), how many .segN files there are to replay — the
+// highest N present, plus one, if that is more — and the manifest's presize
+// hint. The manifest is the authority, and one that cannot be used is an
+// error, never a guess: taking the configured count instead would replay
+// only that many files and serve a fraction of the directory. With no
+// manifest — a fresh directory, or a crash before the first attach got to
+// write one — the count is what the .segN files present say. Files beyond
+// a manifest's count are an unfinished re-fold's (see AttachJournalSet)
+// and hold entries no other file may have.
+func journalLayout(base string) (segments, files int, entries []int, err error) {
 	b, err := os.ReadFile(base + ".meta")
 	if err == nil {
 		var m journalManifest
 		if uerr := json.Unmarshal(b, &m); uerr != nil || m.Segments <= 0 {
-			return 0, nil, fmt.Errorf("directory: journal manifest %s.meta is unusable (segments=%d, %v): restore it, or remove it to have the .segN files counted instead",
+			return 0, 0, nil, fmt.Errorf("directory: journal manifest %s.meta is unusable (segments=%d, %v): restore it, or remove it to have the .segN files counted instead",
 				base, m.Segments, uerr)
 		}
-		return m.Segments, m.Entries, nil
+		segments, entries = m.Segments, m.Entries
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		return 0, 0, nil, err
 	}
-	if !errors.Is(err, fs.ErrNotExist) {
-		return 0, nil, err
-	}
-	files, err := os.ReadDir(filepath.Dir(base))
+	names, err := os.ReadDir(filepath.Dir(base))
 	if err != nil {
-		return 0, nil, fmt.Errorf("directory: listing journal segments: %w", err)
+		return 0, 0, nil, fmt.Errorf("directory: listing journal segments: %w", err)
 	}
+	files = segments
 	prefix := filepath.Base(base) + ".seg"
-	for _, f := range files {
+	for _, f := range names {
 		if rest, ok := strings.CutPrefix(f.Name(), prefix); ok {
-			if i, err := strconv.Atoi(rest); err == nil && i >= segments {
-				segments = i + 1
+			if i, err := strconv.Atoi(rest); err == nil && i >= files {
+				files = i + 1
 			}
 		}
 	}
-	return segments, nil, nil
+	if segments == 0 {
+		segments = files
+	}
+	return segments, files, entries, nil
 }
 
 // replayStats captures one attach-time replay (see JournalStats).
@@ -715,17 +716,9 @@ type replayStats struct {
 }
 
 // forEachIdx runs fn(i) for every i in [0, n), fanning out over up to
-// workers goroutines (inline, in index order, when workers <= 1).
+// workers goroutines (one, taking i in index order, when workers <= 1).
 func forEachIdx(workers, n int, fn func(int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
+	workers = max(1, min(workers, n))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -755,12 +748,10 @@ func forEachIdx(workers, n int, fn func(int)) {
 //     every file has landed. Replay is linear in live entries after
 //     compaction, since a compacted file is exactly one entry record per
 //     live entry.
-//   - Segment files written under a different segment count: replayed one
-//     at a time through the current router (a DN's records are totally
-//     ordered within whichever single file held them), then rewritten into
-//     the current layout by one compaction sweep and the surplus files
-//     removed. A crash anywhere in that re-fold is safe: entry upserts make
-//     it idempotent.
+//   - Segment files written under a different segment count, or left by an
+//     unfinished re-fold: replayed one at a time through the current router
+//     (a DN's records are totally ordered within whichever single file held
+//     them), then re-folded into the current layout — see refold.
 //
 // A file at Base itself — a journal from before segmentation — is refused.
 // A set holding JSON-line records (written before the binary format
@@ -785,14 +776,14 @@ func (d *DIT) AttachJournalSet(cfg JournalSetConfig) (int, error) {
 	} else if !errors.Is(err, fs.ErrNotExist) {
 		return 0, err
 	}
-	diskSegs, entriesHint, err := journalLayout(cfg.Base)
+	diskSegs, diskFiles, entriesHint, err := journalLayout(cfg.Base)
 	if err != nil {
 		return 0, err
 	}
 	// Files beyond the configured count (a larger previous layout) are
-	// folded in too, and removed after the migration.
-	nfiles := max(len(d.segs), diskSegs)
-	refold := diskSegs != 0 && diskSegs != len(d.segs)
+	// folded in too, and removed after the re-fold.
+	nfiles := max(len(d.segs), diskFiles)
+	refold := diskSegs != 0 && (diskSegs != len(d.segs) || diskFiles > diskSegs)
 
 	// A crash mid-compaction leaves a .compact temporary; it is garbage
 	// (the real journal was never replaced) and must not survive.
@@ -853,7 +844,9 @@ func (d *DIT) AttachJournalSet(cfg JournalSetConfig) (int, error) {
 	// pre-replication journal (all-zero stamps) could have produced.
 	d.bumpClock(seq)
 
-	// Open and attach every segment's journal.
+	// Open and attach every segment's journal, and start the compactor its
+	// committer wakes.
+	wake := make(chan struct{}, 1)
 	opened := make([]*Journal, 0, len(d.segs))
 	for i, s := range d.segs {
 		j, err := OpenJournal(segJournalPath(cfg.Base, i))
@@ -863,47 +856,78 @@ func (d *DIT) AttachJournalSet(cfg JournalSetConfig) (int, error) {
 			}
 			return total, err
 		}
-		j.Mode, j.MaxBatch = cfg.Mode, cfg.MaxBatch
+		j.Mode = cfg.Mode
+		j.records.Store(int64(res[i].records))
 		opened = append(opened, j)
 		s.mu.Lock()
 		s.journal = j
-		s.commit = newCommitter(d.em, j)
+		s.commit = newCommitter(d.em, j, wake)
 		s.mu.Unlock()
 	}
-	d.journalBase = cfg.Base
+	d.journalBase, d.compactWake = cfg.Base, wake
+	go d.compactor(wake)
 
-	if migrate {
-		// One compaction sweep writes every segment's live state into its
-		// own file, in the one format this build writes; after it the
-		// surplus files of a larger previous layout are dead weight.
+	if refold {
+		if err := d.refold(diskSegs, nfiles); err != nil {
+			return total, err
+		}
+	} else if migrate {
+		// A set holding JSON-line records is rewritten, in place, in the
+		// one format this build writes.
 		if err := d.Compact(); err != nil {
 			return total, err
 		}
-		for i := len(d.segs); i < nfiles; i++ {
-			if err := os.Remove(segJournalPath(cfg.Base, i)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-				return total, err
-			}
-		}
 	}
-	for _, s := range d.segs {
-		if sz, err := s.journal.size(); err == nil {
-			s.sizeAfterCompact = sz
-		}
-	}
-	return total, d.writeManifest()
+	return total, d.writeManifest(len(d.segs))
 }
 
-// writeManifest persists the layout manifest (tmp+rename so it is never
-// torn). Alongside the segment count it records each segment's live entry
-// count, the presize hint the next attach uses. Refreshed at attach, after
-// every full compaction, and at clean close so the hint tracks the
-// population.
-func (d *DIT) writeManifest() error {
-	m := journalManifest{Segments: len(d.segs), Entries: make([]int, len(d.segs))}
-	for i, s := range d.segs {
-		s.mu.RLock()
-		m.Entries[i] = len(s.entries)
-		s.mu.RUnlock()
+// refold rewrites a set replayed from diskSegs segments in nfiles files
+// into the current layout. The rewrite is in place, and rewriting a file
+// drops the history of every entry that now routes to another file, so
+// first every segment's state is appended to its own file as one durable
+// group: a crash at any later point leaves each entry's records in files a
+// replay reads, and whichever of them replays last, the entry ends in the
+// state its appended record holds: nothing writes during an attach, so its
+// older history ends there too. Until the surplus files are gone the manifest
+// names the smaller layout and the larger one's files lie beyond it, so a
+// restart under either count replays them all and re-folds again.
+func (d *DIT) refold(diskSegs, nfiles int) error {
+	if err := d.writeManifest(min(diskSegs, len(d.segs))); err != nil {
+		return err
+	}
+	for _, s := range d.segs {
+		if err := appendState(s, d.seq.Load()); err != nil {
+			return err
+		}
+	}
+	// One compaction sweep leaves every file exactly its segment's state,
+	// in the one format this build writes; after it the surplus files of a
+	// larger previous layout are dead weight.
+	if err := d.Compact(); err != nil {
+		return err
+	}
+	for i := len(d.segs); i < nfiles; i++ {
+		if err := os.Remove(segJournalPath(d.journalBase, i)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeManifest persists the layout manifest naming segments segment files
+// (tmp+rename so it is never torn). Naming the current layout, it also
+// records each segment's live entry count, the presize hint the next
+// attach uses. Refreshed at attach, after every full compaction, and at
+// clean close so the hint tracks the population.
+func (d *DIT) writeManifest(segments int) error {
+	m := journalManifest{Segments: segments}
+	if segments == len(d.segs) {
+		m.Entries = make([]int, segments)
+		for i, s := range d.segs {
+			s.mu.RLock()
+			m.Entries[i] = len(s.entries)
+			s.mu.RUnlock()
+		}
 	}
 	mb, _ := json.Marshal(m)
 	path := d.journalBase + ".meta"
@@ -921,15 +945,21 @@ func (d *DIT) writeManifest() error {
 	return nil
 }
 
-// CloseJournal stops background compaction, flushes every segment's commit
-// pipeline, stops the committers, closes the journal files, and detaches
-// them. Writers that race the close are rejected with unavailable before
-// they mutate anything; everything staged before the close is written
-// first. A DIT without journals returns nil.
+// CloseJournal waits out any running compaction, flushes every segment's
+// commit pipeline, stops the committers, compacts every journal that holds
+// more than its segment's live entries and tombstones, closes the journal
+// files, detaches them, and ends the background compactor. Writers that
+// race the close are rejected with unavailable before they mutate
+// anything; everything staged before the close is written first. A DIT
+// without journals returns nil.
 func (d *DIT) CloseJournal() error {
-	d.stopAutoCompact()
 	d.compactMu.Lock()
 	defer d.compactMu.Unlock()
+	if d.compactWake != nil {
+		// Runs last: every committer is stopped by then, so none can send.
+		defer close(d.compactWake)
+		d.compactWake = nil
+	}
 	var firstErr error
 	for _, s := range d.segs {
 		s.mu.Lock()
@@ -937,24 +967,30 @@ func (d *DIT) CloseJournal() error {
 			s.mu.Unlock()
 			continue
 		}
-		flushErr := s.commit.flush()
+		err := s.commit.flush()
 		s.commit.stop()
-		closeErr := s.journal.Close()
+		excess := s.journal.records.Load() > s.rewriteSize()
+		s.mu.Unlock()
+		// The stopped pipeline rejects writes, so the segment's state is
+		// final: rewritten now, the file replays exactly that state.
+		if err == nil && excess {
+			err = d.compactSegment(s)
+		}
+		s.mu.Lock()
+		if closeErr := s.journal.Close(); err == nil {
+			err = closeErr
+		}
 		s.journal = nil
 		s.commit = nil
 		s.mu.Unlock()
 		if firstErr == nil {
-			if flushErr != nil {
-				firstErr = flushErr
-			} else {
-				firstErr = closeErr
-			}
+			firstErr = err
 		}
 	}
 	// A clean close leaves the manifest's presize hint exact for the next
 	// attach (entry counts drift between compactions while serving).
 	if firstErr == nil && d.journalBase != "" {
-		firstErr = d.writeManifest()
+		firstErr = d.writeManifest(len(d.segs))
 	}
 	return firstErr
 }
@@ -1220,43 +1256,16 @@ func changesFromRecord(rec UpdateRecord) ([]ldap.Change, error) {
 }
 
 // wireChildren rebuilds every parent's child-link set after relaxed
-// replay, which installs entries without cross-segment linking. With
-// workers > 1 the rebuild runs as two barrier-separated parallel passes:
-// phase A scans each segment, clears its nodes' child sets, and buckets
-// every (parent, child) link by the PARENT's segment; phase B hands each
-// parent segment exactly its own buckets — no two workers ever touch the
-// same node, so the passes need no locking beyond the barrier between
-// them (forEachIdx's WaitGroup).
+// replay, which installs entries without cross-segment linking. The
+// rebuild runs as two barrier-separated passes over the segments, each
+// fanned out over workers: phase A scans each segment, clears its nodes'
+// child sets, and buckets every (parent, child) link by the PARENT's
+// segment; phase B hands each parent segment exactly its own buckets — no
+// two workers ever touch the same node, so the passes need no locking
+// beyond the barrier between them (forEachIdx's WaitGroup).
 func (d *DIT) wireChildren(workers int) {
 	d.lockAll()
 	defer d.unlockAll()
-	if workers <= 1 || len(d.segs) == 1 {
-		for _, s := range d.segs {
-			for _, n := range s.entries {
-				n.children = nil
-			}
-		}
-		// Consecutive entries overwhelmingly share a parent (the flat tree
-		// hangs everything off the suffix), so cache the last parent lookup
-		// — one hash+probe per parent run instead of per entry.
-		var lastPK string
-		var lastP *node
-		for _, s := range d.segs {
-			for key := range s.entries {
-				pk := parentNormKey(key)
-				if pk == "" {
-					continue
-				}
-				if pk != lastPK || lastP == nil {
-					lastPK, lastP = pk, d.seg(pk).entries[pk]
-				}
-				if lastP != nil {
-					lastP.addChild(key)
-				}
-			}
-		}
-		return
-	}
 	type childLink struct{ parent, child string }
 	// links[scanSeg][parentSeg] — each phase-A worker writes only its own
 	// row, each phase-B worker reads only its own column.
@@ -1267,8 +1276,9 @@ func (d *DIT) wireChildren(workers int) {
 			n.children = nil
 		}
 		row := make([][]childLink, len(d.segs))
-		// Same consecutive-parent cache as the sequential path: routing
-		// (hash) and same-segment node lookup run once per parent run.
+		// Consecutive entries overwhelmingly share a parent (the flat tree
+		// hangs everything off the suffix), so routing (hash) and
+		// same-segment node lookup run once per parent run, not per entry.
 		var lastPK string
 		var lastPS int
 		var lastP *node // valid only when lastPS == i

@@ -97,7 +97,17 @@ func TestSegmentedBasicOps(t *testing.T) {
 	}
 }
 
+// TestSegmentedJournalReplay replays a set as a crash leaves it, as written
+// and compacted: the tree comes back, the commit seq does not go backwards,
+// and a cursor taken before the restart resumes with every record committed
+// since — or is refused — never silently skipping writes.
 func TestSegmentedJournalReplay(t *testing.T) {
+	for _, compact := range []bool{false, true} {
+		t.Run(fmt.Sprintf("compact=%v", compact), func(t *testing.T) { segmentedJournalReplay(t, compact) })
+	}
+}
+
+func segmentedJournalReplay(t *testing.T, compact bool) {
 	base := filepath.Join(t.TempDir(), "dir.journal")
 	d := segmentedDIT(t, base, 8)
 	seedOrg(t, d, 40)
@@ -113,11 +123,22 @@ func TestSegmentedJournalReplay(t *testing.T) {
 	if err := d.ModifyDN(dn.MustParse("ou=Eng,o=Lucent"), dn.RDN{{Attr: "ou", Value: "R&D"}}, true); err != nil {
 		t.Fatal(err)
 	}
+	// History well beyond the live state, so a compacted set is far shorter
+	// than the sequence it ends.
+	for i := 0; i < 200; i++ {
+		modifyRoom(t, d, "cn=p3,o=Lucent", i)
+	}
+	if compact {
+		if err := d.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cursor := d.Seq()
 
 	restored := reopenSet(t, base, 8)
 	sameState(t, d, restored)
-	if restored.Seq() < d.Seq() {
-		t.Fatalf("restored seq %d < live seq %d", restored.Seq(), d.Seq())
+	if restored.Seq() < cursor {
+		t.Fatalf("restored seq %d < live seq %d", restored.Seq(), cursor)
 	}
 	// The restored tree must be structurally sound: children links let the
 	// renamed subtree entry be deleted leaf-first.
@@ -125,6 +146,24 @@ func TestSegmentedJournalReplay(t *testing.T) {
 		t.Fatal("deleted non-leaf after replay: children links missing")
 	}
 	if err := restored.Delete(dn.MustParse("cn=dev,ou=R&D,o=Lucent")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		modifyRoom(t, restored, "cn=p3,o=Lucent", i)
+	}
+	if backlog, _, cancel, ok := restored.SubscribeFrom(cursor, 0); ok {
+		cancel()
+		if want := restored.Seq() - cursor; uint64(len(backlog)) != want {
+			t.Fatalf("resume from pre-restart cursor %d: %d records, want %d", cursor, len(backlog), want)
+		}
+	}
+}
+
+// modifyRoom replaces name's roomNumber with a value derived from i.
+func modifyRoom(t *testing.T, d *DIT, name string, i int) {
+	t.Helper()
+	if err := d.Modify(dn.MustParse(name), []ldap.Change{{Op: ldap.ModReplace,
+		Attribute: ldap.Attribute{Type: "roomNumber", Values: []string{fmt.Sprintf("R-%d", i)}}}}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -194,6 +233,135 @@ func TestCorruptManifestRefused(t *testing.T) {
 	}
 	if _, err := os.Stat(segJournalPath(base, 15)); err != nil {
 		t.Fatalf("refused attach removed a segment file: %v", err)
+	}
+}
+
+// TestRefoldLeftoversRemoved: a crash between a re-fold's compaction sweep
+// and its removal of the surplus files leaves .seg8–.seg15 beside an
+// 8-segment manifest. The restart must fold them in and remove them: kept
+// past more writes, they would turn stale, and a later re-fold would replay
+// them over current state.
+func TestRefoldLeftoversRemoved(t *testing.T) {
+	surplus := map[int][]byte{}
+	_, refolded, base, err := sixteenToEight(t, func(m string) {
+		for i := 8; i < 16; i++ {
+			b, err := os.ReadFile(segJournalPath(strings.TrimSuffix(m, ".meta"), i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			surplus[i] = b
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refolded.CloseJournal()
+	for i, b := range surplus {
+		if err := os.WriteFile(segJournalPath(base, i), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d8 := reopenSet(t, base, 8)
+	sameState(t, refolded, d8)
+	for i := 0; i < 200; i++ {
+		name := fmt.Sprintf("cn=p%d,o=Lucent", i)
+		if i%2 == 0 {
+			if err := d8.Delete(dn.MustParse(name)); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			modifyRoom(t, d8, name, i)
+		}
+	}
+	if err := d8.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+	sameState(t, d8, reopenSet(t, base, 16))
+}
+
+// TestRefoldCrash copies the journal set as a crash in a re-fold leaves it
+// — at every segment rewrite's last instant before its rename, and after the
+// sweep with the surplus files not yet removed and the manifest not yet
+// naming the new count — and requires each copy to attach with every entry,
+// under the old segment count and under the new. A re-fold rewrites files in
+// place, so no rewrite may drop the only copy of an entry that now routes to
+// another file.
+func TestRefoldCrash(t *testing.T) {
+	for _, c := range [][2]int{{8, 16}, {16, 8}, {8, 3}} {
+		t.Run(fmt.Sprintf("%d-to-%d", c[0], c[1]), func(t *testing.T) { refoldCrash(t, c[0], c[1]) })
+	}
+}
+
+func refoldCrash(t *testing.T, from, to int) {
+	base := filepath.Join(t.TempDir(), "dir.journal")
+	d := segmentedDIT(t, base, from)
+	seedOrg(t, d, 200)
+	for i := 0; i < 200; i += 4 {
+		if err := d.Delete(dn.MustParse(fmt.Sprintf("cn=p%d,o=Lucent", i))); err != nil {
+			t.Fatal(err)
+		}
+		modifyRoom(t, d, fmt.Sprintf("cn=p%d,o=Lucent", i+1), i)
+	}
+	if err := d.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+	before := copySet(t, base)
+
+	var crashes []string
+	compactHook = func(stage string, seg int) error {
+		if stage == "pre-rename" {
+			crashes = append(crashes, copySet(t, base))
+		}
+		return nil
+	}
+	defer func() { compactHook = nil }()
+	sameState(t, d, reopenSet(t, base, to))
+	compactHook = nil
+	if len(crashes) < to {
+		t.Fatalf("the re-fold rewrote %d segments, want %d", len(crashes), to)
+	}
+
+	swept := copySet(t, base)
+	for i := to; i < from; i++ {
+		b, err := os.ReadFile(segJournalPath(before, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(segJournalPath(swept, i), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(swept+".meta", []byte(fmt.Sprintf("{\"segments\":%d}\n", min(from, to))), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for i, crash := range append(crashes, swept) {
+		for _, n := range []int{from, to} {
+			t.Run(fmt.Sprintf("crash%d-under%d", i, n), func(t *testing.T) {
+				restart := copySet(t, crash)
+				sameState(t, d, reopenSet(t, restart, n))
+				checkRouted(t, restart, n)
+			})
+		}
+	}
+}
+
+// checkRouted asserts every record of the n-segment set at base lies in the
+// file its DN routes to, which is what lets an attach replay the files
+// concurrently: a copy left in another file would race the entry's later
+// history there.
+func checkRouted(t *testing.T, base string, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		probe := NewSegmented(nil, n)
+		if fr := probe.replayFile(segJournalPath(base, i)); fr.err != nil {
+			t.Fatal(fr.err)
+		}
+		for j, s := range probe.segs {
+			if j != i && len(s.entries)+len(s.tombstones) > 0 {
+				t.Fatalf("segment file %d holds records of segment %d", i, j)
+			}
+		}
 	}
 }
 
@@ -323,47 +491,71 @@ func TestIncrementalCompactUnderLoad(t *testing.T) {
 	sameState(t, d, restored)
 }
 
-// compactCrash aborts one segment compaction at the given stage, keeps
-// writing acked updates, and asserts replay restores every one of them.
+// compactCrash aborts one segment compaction at the given stage — started
+// by Compact, by the serving trigger, and by CloseJournal — keeps writing
+// acked updates, and asserts replay restores every one of them.
 func compactCrash(t *testing.T, stage string) {
+	for _, trigger := range []string{"Compact", "serving", "close"} {
+		t.Run(trigger, func(t *testing.T) { compactCrashBy(t, stage, trigger) })
+	}
+}
+
+func compactCrashBy(t *testing.T, stage, trigger string) {
 	base := filepath.Join(t.TempDir(), "dir.journal")
 	d := segmentedDIT(t, base, 2)
 	seedOrg(t, d, 20)
 
+	// Hook calls are serialized by compactMu; fired is closed on the first.
+	fired := make(chan struct{})
 	injected := false
 	compactHook = func(s string, seg int) error {
 		if s == stage && !injected {
 			injected = true
+			close(fired)
 			return fmt.Errorf("injected crash at %s", s)
 		}
 		return nil
 	}
 	defer func() { compactHook = nil }()
 
-	if err := d.Compact(); err == nil {
-		t.Fatal("compact did not surface the injected crash")
-	}
-	if !injected {
-		t.Fatal("hook never fired")
-	}
-	// The aborted rewrite leaves a .compact temp behind, like a real crash.
-	tmps := 0
-	for i := 0; i < 2; i++ {
-		if _, err := os.Stat(segJournalPath(base, i) + ".compact"); err == nil {
-			tmps++
+	switch trigger {
+	case "Compact":
+		if err := d.Compact(); err == nil {
+			t.Fatal("compact did not surface the injected crash")
 		}
-	}
-	if tmps == 0 {
-		t.Fatal("no .compact temp left after aborted compaction")
+		// The aborted rewrite leaves a .compact temp behind, like a real crash.
+		tmps := 0
+		for i := 0; i < 2; i++ {
+			if _, err := os.Stat(segJournalPath(base, i) + ".compact"); err == nil {
+				tmps++
+			}
+		}
+		if tmps == 0 {
+			t.Fatal("no .compact temp left after aborted compaction")
+		}
+	case "serving":
+		for i := 0; i < compactFloor+32; i++ {
+			modifyRoom(t, d, "cn=p5,o=Lucent", i)
+		}
+		select {
+		case <-fired:
+		case <-time.After(10 * time.Second):
+			t.Fatal("an overgrown journal never woke the compactor")
+		}
 	}
 
 	// The directory keeps serving acked writes after the failed compaction.
 	mustAddP(t, d, "cn=after-crash,o=Lucent", map[string][]string{"cn": {"after-crash"}})
-	if err := d.Modify(dn.MustParse("cn=p5,o=Lucent"), []ldap.Change{
-		{Op: ldap.ModReplace, Attribute: ldap.Attribute{Type: "roomNumber", Values: []string{"7"}}}}); err != nil {
-		t.Fatal(err)
+	modifyRoom(t, d, "cn=p5,o=Lucent", 7)
+	if err := d.CloseJournal(); trigger == "close" && err == nil {
+		t.Fatal("CloseJournal did not surface the injected crash")
 	}
-	d.CloseJournal()
+	compactHook = nil
+	select {
+	case <-fired:
+	default:
+		t.Fatal("hook never fired")
+	}
 
 	restored := reopenSet(t, base, 2)
 	sameState(t, d, restored)
@@ -377,24 +569,148 @@ func compactCrash(t *testing.T, stage string) {
 func TestCompactCrashAtTmpWritten(t *testing.T) { compactCrash(t, "tmp-written") }
 func TestCompactCrashMidSplice(t *testing.T)    { compactCrash(t, "mid-splice") }
 
+// TestAutoCompactLifecycle: AttachJournalSet starts the compactor, history
+// past the threshold wakes it, CloseJournal stops it (twice is harmless),
+// and a detached DIT's writes wake nothing.
 func TestAutoCompactLifecycle(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "dir.journal")
 	d := segmentedDIT(t, base, 2)
 	seedOrg(t, d, 10)
-	d.StartAutoCompact(time.Millisecond)
-	d.StartAutoCompact(time.Millisecond) // idempotent
-	deadline := time.Now().Add(2 * time.Second)
-	for d.CompactionStats().Skips < 3 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	renamed := make(chan struct{}, 1)
+	compactHook = func(stage string, seg int) error {
+		if stage == "pre-rename" {
+			select {
+			case renamed <- struct{}{}:
+			default:
+			}
+		}
+		return nil
 	}
-	if d.CompactionStats().Skips < 3 {
-		t.Fatal("auto-compactor never ticked")
+	defer func() { compactHook = nil }()
+	if d.CompactionStats().Runs != 0 {
+		t.Fatal("a seeded journal was compacted")
 	}
-	d.stopAutoCompact()
-	d.stopAutoCompact() // idempotent
-	// CloseJournal after stop must not hang.
+	for i := 0; i < compactFloor+32; i++ {
+		modifyRoom(t, d, "cn=p1,o=Lucent", i)
+	}
+	select {
+	case <-renamed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("an overgrown journal never woke the compactor")
+	}
+	for i := 0; i < 2; i++ {
+		if err := d.CloseJournal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runs := d.CompactionStats().Runs
+	for i := 0; i < compactFloor+32; i++ {
+		modifyRoom(t, d, "cn=p1,o=Lucent", i)
+	}
+	if got := d.CompactionStats().Runs; got != runs {
+		t.Fatalf("%d compactions after CloseJournal", got-runs)
+	}
+}
+
+// TestServingCompactionFailureBacksOff: a rewrite that keeps failing is
+// tried again once per compactFloor records its file gains, not on every
+// wake-up the other segment's traffic causes.
+func TestServingCompactionFailureBacksOff(t *testing.T) {
+	d := segmentedDIT(t, filepath.Join(t.TempDir(), "dir.journal"), 2)
+	seedOrg(t, d, 10)
+	var tries [2]atomic.Int64
+	compactHook = func(stage string, seg int) error {
+		if stage != "tmp-written" {
+			return nil
+		}
+		tries[seg].Add(1)
+		return fmt.Errorf("injected failure")
+	}
+	defer func() { compactHook = nil }()
+	var names [2]string
+	for i := 0; i < 10; i++ {
+		name := fmt.Sprintf("cn=p%d,o=Lucent", i)
+		names[d.segIndex(dn.MustParse(name).Normalize())] = name
+	}
+	const rounds = 4 * compactFloor
+	for i := 0; i < rounds; i++ {
+		modifyRoom(t, d, names[0], i)
+		modifyRoom(t, d, names[1], i)
+	}
+	// Between the compactor's passes, and with no failures left to inject.
+	d.compactMu.Lock()
+	compactHook = nil
+	d.compactMu.Unlock()
+	for seg := range tries {
+		if n := tries[seg].Load(); n == 0 || n > rounds/compactFloor+1 {
+			t.Fatalf("segment %d: %d rewrites tried for %d records", seg, n, rounds)
+		}
+	}
+}
+
+// TestJournalBoundedByState writes twenty times the population in modifies
+// and never calls Compact: every file stays under the serving trigger's
+// bound, and after a clean close the set replays exactly one record per
+// live entry and tombstone.
+func TestJournalBoundedByState(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "dir.journal")
+	d := NewSegmented(nil, 8)
+	if _, err := d.AttachJournalSet(JournalSetConfig{Base: base, Mode: SyncNone}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.CloseJournal() })
+	const people, modifies, writers = 2000, 40000, 8
+	seedOrg(t, d, people-1)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < modifies; i += writers {
+				if err := d.Modify(dn.MustParse(fmt.Sprintf("cn=p%d,o=Lucent", i%(people-1))), []ldap.Change{{Op: ldap.ModReplace,
+					Attribute: ldap.Attribute{Type: "roomNumber", Values: []string{fmt.Sprint(i)}}}}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if d.CompactionStats().Runs == 0 {
+		t.Fatal("no compaction ran")
+	}
+	// The compactor runs behind the committers; wait for it to catch up.
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; i < len(d.segs); {
+		s := d.segs[i]
+		s.mu.RLock()
+		rewrite := s.rewriteSize()
+		s.mu.RUnlock()
+		b, err := os.ReadFile(segJournalPath(base, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := int64(len(v2Frames(t, b))); n < 2*rewrite+compactFloor {
+			i++
+		} else if time.Now().After(deadline) {
+			t.Fatalf("segment %d holds %d records for %d entries and tombstones", i, n, rewrite)
+		} else {
+			time.Sleep(time.Millisecond)
+		}
+	}
 	if err := d.CloseJournal(); err != nil {
 		t.Fatal(err)
+	}
+	var state int64
+	for _, s := range d.segs {
+		state += s.rewriteSize()
+	}
+	restored := reopenSet(t, base, 8)
+	if got := restored.JournalStats().ReplayedRecords; int64(got) != state {
+		t.Fatalf("replayed %d records for %d entries and tombstones", got, state)
+	}
+	if restored.Fingerprint() != d.Fingerprint() {
+		t.Fatal("fingerprint changed across the close")
 	}
 }
 

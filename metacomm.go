@@ -165,19 +165,10 @@ type Config struct {
 	// DataDir, when set, makes the directory durable: committed updates
 	// are write-ahead journaled to <DataDir>/directory.journal and
 	// replayed on the next Start. Empty keeps the directory in memory.
+	// The journal group-commits (a write is acked once its group is
+	// fsynced) and compacts itself: while serving once a segment's file
+	// holds twice its live state, and at Close.
 	DataDir string
-	// JournalSync selects the journal durability mode: "group" (the
-	// default — group commit: all concurrently committed updates share one
-	// buffered write and ONE fsync, each writer acked only once its group
-	// is durable), "always" (one fsync per update — same guarantee, no
-	// amortization), or "none" (flushed to the OS, never fsynced — the
-	// pre-group-commit behavior). Ignored without DataDir.
-	JournalSync string
-	// JournalBatch caps how many updates one commit group may carry
-	// (0 = directory.DefaultJournalBatch). Groups form from whatever is
-	// staged while the previous group's fsync is in flight, so the cap
-	// only bounds worst-case group latency under deep backlog.
-	JournalBatch int
 	// DITSegments partitions the directory into that many DN-hash segments,
 	// each independently locked with its own journal file and commit
 	// pipeline (0 = directory.DefaultDITSegments). A data dir written under
@@ -185,12 +176,6 @@ type Config struct {
 	// holding a pre-segmentation single-file journal is refused (start once
 	// with a build at or before PR 12 to convert it).
 	DITSegments int
-	// CompactInterval, when positive, runs background journal compaction:
-	// every interval one segment (round-robin) whose journal has grown
-	// enough is rewritten online — no stop-the-world pause, replay time
-	// stays linear in live entries. Zero disables background compaction.
-	// Ignored without DataDir.
-	CompactInterval time.Duration
 	// AuditLog, when set, receives one line per update that passes through
 	// LTAP — including rejected ones — via the gateway's trigger facility.
 	AuditLog io.Writer
@@ -272,22 +257,14 @@ func Start(cfg Config) (*System, error) {
 		if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
 			return nil, fmt.Errorf("metacomm: data dir: %w", err)
 		}
-		mode, err := directory.ParseSyncMode(defaultStr(cfg.JournalSync, "group"))
-		if err != nil {
-			return nil, fmt.Errorf("metacomm: %w", err)
-		}
 		if _, err := s.DIT.AttachJournalSet(directory.JournalSetConfig{
-			Base:     filepath.Join(cfg.DataDir, "directory.journal"),
-			Mode:     mode,
-			MaxBatch: cfg.JournalBatch,
+			Base: filepath.Join(cfg.DataDir, "directory.journal"),
+			Mode: directory.SyncGroup,
 		}); err != nil {
 			return nil, fmt.Errorf("metacomm: replaying journal: %w", err)
 		}
 		if st := s.DIT.JournalStats(); st.TornTails > 0 && cfg.Logger != nil {
 			cfg.Logger.Printf("journal: truncated %d torn trailing record(s) (crash mid-append); replay continued from the last complete record", st.TornTails)
-		}
-		if cfg.CompactInterval > 0 {
-			s.DIT.StartAutoCompact(cfg.CompactInterval)
 		}
 	}
 	// The update path locates entries by device key on every translated

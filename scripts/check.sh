@@ -32,6 +32,14 @@ if git grep -nE 'Format[J]SON|Attach[J]ournal\(|apply[R]ecord' -- '*.go' ':!*_te
 	echo "check.sh: a deleted journal path is back (see the matches above)" >&2
 	exit 1
 fi
+# The journal maintains itself: it compacts on the history it counts and at
+# clean close, and the daemon always group-commits. The interval compactor,
+# the sync-mode and batch knobs and their flags must not come back in
+# non-test code, the scripts or the README (letters bracketed as above).
+if git grep -nE 'Compact[I]nterval|StartAuto[C]ompact|ParseSync[M]ode|Journal[S]ync|Journal[B]atch|compact-[i]nterval|journal-[s]ync|journal-[b]atch' -- '*.go' scripts/ README.md ':!*_test.go'; then
+	echo "check.sh: a deleted journal knob is back (see the matches above)" >&2
+	exit 1
+fi
 # Multi-master replication smoke: a two-node mesh, a write accepted on each
 # side, and a conflicting same-DN write — both trees must converge.
 go test -run TestMultiMasterWritesAnywhereConverge -count=1 .
