@@ -576,29 +576,19 @@ func BenchmarkE16ReadHeavyMix(b *testing.B) {
 		{"read=indexed", "(objectClass=mcPerson)"},
 		{"read=unindexed", "(sn=Person *)"},
 	}
-	caches := []struct {
-		name string
-		cap  int // Config.GatewayCache: 0 default-on, <0 off
-	}{
-		{"cache=on", 0},
-		{"cache=off", -1},
-	}
 	for _, mix := range mixes {
 		for _, rf := range readFilters {
-			for _, ca := range caches {
-				b.Run(mix.name+"/"+rf.name+"/"+ca.name, func(b *testing.B) {
-					runE16Mix(b, mix.writePct, rf.filter, ca.cap)
-				})
-			}
+			b.Run(mix.name+"/"+rf.name, func(b *testing.B) {
+				runE16Mix(b, mix.writePct, rf.filter)
+			})
 		}
 	}
 }
 
-func runE16Mix(b *testing.B, writePct int64, readFilter string, cacheCap int) {
+func runE16Mix(b *testing.B, writePct int64, readFilter string) {
 	const people = 200
 	s := benchSystem(b, metacomm.Config{UMShards: 4,
-		DeviceSessions: 4, DeviceLatency: 2 * time.Millisecond,
-		GatewayCache: cacheCap})
+		DeviceSessions: 4, DeviceLatency: 2 * time.Millisecond})
 	setup := benchClient(b, s)
 	dns := provision(b, setup, people)
 	f, err := ldap.ParseFilter(readFilter)
@@ -643,10 +633,6 @@ func runE16Mix(b *testing.B, writePct int64, readFilter string, cacheCap int) {
 	})
 	b.StopTimer()
 	b.ReportMetric(float64(searches.Load())/b.Elapsed().Seconds(), "searches/s")
-	gs := s.Gateway.Stats()
-	if gs.Updates > 0 {
-		b.ReportMetric(float64(gs.BackendFetches)/float64(gs.Updates), "fetches/update")
-	}
 }
 
 // BenchmarkF2SampleTree reproduces the paper's Figure 2 sample tree: build
@@ -697,7 +683,7 @@ func BenchmarkF2SampleTree(b *testing.B) {
 func BenchmarkE17SyncSnapshotDelta(b *testing.B) {
 	const population = 5000
 	run := func(b *testing.B, useSnapshot bool) {
-		s := benchSystem(b, metacomm.Config{SyncWorkers: 8, BackendConns: 8, DeviceSessions: 4})
+		s := benchSystem(b, metacomm.Config{SyncWorkers: 8, DeviceSessions: 4})
 		if !useSnapshot {
 			s.UM.SetSnapshot(nil)
 		}

@@ -269,14 +269,16 @@ func TestNodeChaosSoak(t *testing.T) {
 		}
 	}
 
-	for _, n := range nodes {
-		n.start(t)
-	}
+	// Registered before the first start, so a node that never becomes ready
+	// does not leave the ones already started running after the test.
 	t.Cleanup(func() {
 		for _, n := range nodes {
 			n.kill(t)
 		}
 	})
+	for _, n := range nodes {
+		n.start(t)
+	}
 
 	// Seed the shared population through node 1 and wait until replication
 	// has planted it everywhere (writers need their DNs present on their

@@ -53,7 +53,6 @@ func main() {
 		writePct = flag.Int("write-pct", 5, "percent of operations that are modifies (rest are searches)")
 		depth    = flag.Int("pipeline", 8, "operations pipelined per burst (1 = one round-trip per op)")
 		entries  = flag.Int("entries", 1000, "seeded person entries the workload targets")
-		beConns  = flag.Int("backend-conns", 32, "backing-directory pool size when -spawn (gateway searches fan out here)")
 		shards   = flag.Int("um-shards", 0, "UM shards when -spawn (0 = default)")
 		out      = flag.String("out", "", "output JSON path (default BENCH_wire_<rev>.json in the current directory)")
 		rev      = flag.String("rev", "", "revision label for the output file (default git rev-parse --short HEAD)")
@@ -92,9 +91,8 @@ func main() {
 	if *spawn {
 		var err error
 		sys, err = metacomm.Start(metacomm.Config{
-			BackendConns: *beConns,
-			UMShards:     *shards,
-			AcceptLoop:   *acceptLp,
+			UMShards:   *shards,
+			AcceptLoop: *acceptLp,
 		})
 		if err != nil {
 			log.Fatalf("loadgen: spawn: %v", err)
@@ -105,7 +103,7 @@ func main() {
 		if mode == "" {
 			mode = metacomm.AcceptLoopGoroutine
 		}
-		fmt.Printf("spawned system at %s (backend-conns=%d accept-loop=%s)\n", targets[0], *beConns, mode)
+		fmt.Printf("spawned system at %s (accept-loop=%s)\n", targets[0], mode)
 	}
 
 	// Seed through one node; a multi-master mesh replicates the population

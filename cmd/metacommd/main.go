@@ -54,10 +54,8 @@ func main() {
 		syncWk   = flag.Int("sync-workers", 0, "synchronization reconciliation worker pool size (0 = default)")
 		devSess  = flag.Int("device-sessions", 0, "pooled administration sessions per device (0 = single session)")
 		devLat   = flag.Duration("device-latency", 0, "simulated per-update processing time in the device simulators")
-		beConns  = flag.Int("backend-conns", 0, "pooled connections to the backing directory per component (0 = default)")
 		maxMsg   = flag.Int("max-message", 0, "max LDAP request message size in bytes on both listeners (0 = 4 MB default)")
 		acceptLp = flag.String("accept-loop", "goroutine", "connection serving on both listeners: goroutine (per-conn, portable) or epoll (event loop, Linux)")
-		gwCache  = flag.Int("gateway-cache", 0, "LTAP before-image cache capacity (0 = default, negative disables)")
 		outbox   = flag.String("outbox-dir", "", "journal directory for the durable device-update outbox (empty disables)")
 		obRetry  = flag.Int("outbox-retries", 0, "outbox replay attempts before targeted repair (0 = default)")
 		obBack   = flag.Duration("outbox-backoff", 0, "outbox base retry backoff, doubled per attempt (0 = default)")
@@ -101,10 +99,8 @@ func main() {
 		SyncWorkers:    *syncWk,
 		DeviceSessions: *devSess,
 		DeviceLatency:  *devLat,
-		BackendConns:   *beConns,
 		MaxMessageSize: *maxMsg,
 		AcceptLoop:     *acceptLp,
-		GatewayCache:   *gwCache,
 		Outbox: metacomm.OutboxConfig{
 			Dir:         *outbox,
 			MaxRetries:  *obRetry,
@@ -184,8 +180,8 @@ func main() {
 		}
 	}
 	gs := sys.Gateway.Stats()
-	fmt.Printf("gateway: searches=%d updates=%d backend-fetches=%d cache-hits=%d cache-misses=%d hit-rate=%.1f%% quiesces=%d quiesce-ms=%.1f updates-delayed=%d\n",
-		gs.Searches, gs.Updates, gs.BackendFetches, gs.Cache.Hits, gs.Cache.Misses, 100*gs.Cache.HitRate(),
+	fmt.Printf("gateway: searches=%d updates=%d backend-fetches=%d quiesces=%d quiesce-ms=%.1f updates-delayed=%d\n",
+		gs.Searches, gs.Updates, gs.BackendFetches,
 		gs.Quiesces, float64(gs.QuiesceNs)/1e6, gs.UpdatesDelayedByQuiesce)
 	for name, ss := range sys.UM.LastSyncStats() {
 		fmt.Printf("sync %s: records=%d adds=%d/%d mods=%d/%d in-sync=%d errors=%d snapshot=%v workers=%d bulk-ms=%.1f quiesce-ms=%.1f delta=%d/%d records/s=%.0f\n",

@@ -61,7 +61,8 @@ mapping PagerClosure source "ldap" target "ldap" {
 `
 
 func main() {
-	// Assemble a minimal meta-directory: directory server, LTAP, UM.
+	// Assemble a minimal meta-directory: directory, LTAP, UM. The gateway
+	// and the UM share one in-process client of the directory.
 	suffix := dn.MustParse("o=Lucent")
 	dit := directory.New(mcschema.New())
 	attrs := directory.NewAttrs()
@@ -69,12 +70,7 @@ func main() {
 	if err := dit.Add(suffix, attrs); err != nil {
 		log.Fatal(err)
 	}
-	dirSrv := ldapserver.NewServer(ldapserver.NewDITHandler(dit))
-	dirAddr, err := dirSrv.Start("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer dirSrv.Close()
+	local := ldapserver.NewDITClient(dit)
 
 	// The new device: an in-process store wrapped by the generic
 	// converter. Real deployments would put a protocol converter here.
@@ -92,25 +88,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	backing, err := ldapclient.Dial(dirAddr.String())
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer backing.Close()
 	manager, err := um.New(um.Config{
-		Suffix: suffix, Backing: backing, Library: lib, ClosureMapping: "PagerClosure",
+		Suffix: suffix, Backing: local, Library: lib, ClosureMapping: "PagerClosure",
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	manager.AddDevice(pagerFilter)
 
-	gwBacking, err := ldapclient.Dial(dirAddr.String())
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer gwBacking.Close()
-	gateway := ltap.NewGateway(gwBacking, manager)
+	gateway := ltap.NewGateway(local, manager)
 	ltapSrv := ldapserver.NewServer(gateway)
 	ltapAddr, err := ltapSrv.Start("127.0.0.1:0")
 	if err != nil {

@@ -208,9 +208,8 @@ func (f *LDAPFilter) ConvergeEntry(cur *ldapclient.Entry, old, new lexpress.Reco
 
 // ConvergePlan is the computed convergence for one entry: an optional
 // rename followed by an optional attribute modify. Splitting planning from
-// execution lets the sync engine batch many plans' Modify operations over
-// pipelined connections (ldapclient.ModifyBatch) instead of paying a
-// round-trip each.
+// execution lets the sync engine tell an entry already in sync (an empty
+// plan) from one it converged.
 type ConvergePlan struct {
 	// RenameFrom/NewRDN describe the rename half when the mapping changes
 	// the RDN attribute; RenameFrom == "" means no rename.

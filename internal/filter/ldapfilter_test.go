@@ -8,87 +8,10 @@ import (
 	"metacomm/internal/directory"
 	"metacomm/internal/dn"
 	"metacomm/internal/ldap"
-	"metacomm/internal/ldapclient"
+	"metacomm/internal/ldapserver"
 	"metacomm/internal/lexpress"
 	"metacomm/internal/mcschema"
 )
-
-// ditClient adapts a DIT directly to the LDAPClient interface for tests.
-type ditClient struct{ d *directory.DIT }
-
-func (c *ditClient) Search(req *ldap.SearchRequest) ([]*ldapclient.Entry, error) {
-	base, err := dn.Parse(req.BaseDN)
-	if err != nil {
-		return nil, err
-	}
-	entries, err := c.d.Search(base, req.Scope, req.Filter, req.SizeLimit)
-	if err != nil {
-		return nil, &ldap.ResultError{Result: ldap.Result{Code: directory.CodeOf(err), Message: err.Error()}}
-	}
-	var out []*ldapclient.Entry
-	for _, e := range entries {
-		ce := &ldapclient.Entry{DN: e.DN.String()}
-		for _, n := range e.Attrs.Names() {
-			ce.Attributes = append(ce.Attributes, ldap.Attribute{Type: n, Values: e.Attrs.Get(n)})
-		}
-		out = append(out, ce)
-	}
-	return out, nil
-}
-
-func (c *ditClient) Add(name string, attrs []ldap.Attribute) error {
-	d, err := dn.Parse(name)
-	if err != nil {
-		return err
-	}
-	a := directory.NewAttrs()
-	for _, at := range attrs {
-		for _, v := range at.Values {
-			a.Add(at.Type, v)
-		}
-	}
-	if err := c.d.Add(d, a); err != nil {
-		return &ldap.ResultError{Result: ldap.Result{Code: directory.CodeOf(err), Message: err.Error()}}
-	}
-	return nil
-}
-
-func (c *ditClient) Modify(name string, changes []ldap.Change) error {
-	d, err := dn.Parse(name)
-	if err != nil {
-		return err
-	}
-	if err := c.d.Modify(d, changes); err != nil {
-		return &ldap.ResultError{Result: ldap.Result{Code: directory.CodeOf(err), Message: err.Error()}}
-	}
-	return nil
-}
-
-func (c *ditClient) ModifyDN(name, newRDN string, deleteOldRDN bool) error {
-	d, err := dn.Parse(name)
-	if err != nil {
-		return err
-	}
-	r, err := dn.Parse(newRDN)
-	if err != nil || r.Depth() != 1 {
-		return errors.New("bad newRDN")
-	}
-	if err := c.d.ModifyDN(d, r.RDN(), deleteOldRDN); err != nil {
-		return &ldap.ResultError{Result: ldap.Result{Code: directory.CodeOf(err), Message: err.Error()}}
-	}
-	return nil
-}
-
-func (c *ditClient) Delete(name string) error {
-	d, err := dn.Parse(name)
-	if err != nil {
-		return err
-	}
-	if err := c.d.Delete(d); err != nil {
-		return &ldap.ResultError{Result: ldap.Result{Code: directory.CodeOf(err), Message: err.Error()}}
-	}
-	return nil
-}
 
 func newLDAPFilter(t *testing.T) (*LDAPFilter, *directory.DIT) {
 	t.Helper()
@@ -100,7 +23,7 @@ func newLDAPFilter(t *testing.T) (*LDAPFilter, *directory.DIT) {
 		t.Fatal(err)
 	}
 	return &LDAPFilter{
-		Client:     &ditClient{d: d},
+		Client:     ldapserver.NewDITClient(d),
 		Suffix:     suffix,
 		PeopleBase: suffix,
 		RDNAttr:    "cn",

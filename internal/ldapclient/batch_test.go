@@ -1,11 +1,9 @@
 package ldapclient_test
 
 import (
-	"fmt"
 	"testing"
 
 	"metacomm/internal/ldap"
-	"metacomm/internal/ldapclient"
 )
 
 func seedBatchPeople(t *testing.T, c interface {
@@ -26,30 +24,31 @@ func seedBatchPeople(t *testing.T, c interface {
 	}
 }
 
-func roomOp(dn, room string) ldapclient.ModifyOp {
-	return ldapclient.ModifyOp{DN: dn, Changes: []ldap.Change{{Op: ldap.ModReplace,
+func roomOp(dn, room string) ldap.Op {
+	return &ldap.ModifyRequest{DN: dn, Changes: []ldap.Change{{Op: ldap.ModReplace,
 		Attribute: ldap.Attribute{Type: "roomNumber", Values: []string{room}}}}}
 }
 
-// TestModifyBatchPipelined: one write, N reads — results come back
-// positionally, and a failing op does not poison its neighbors.
+// TestModifyBatchPipelined: a burst of modifies is one write and N reads —
+// results come back positionally, and a failing op does not poison its
+// neighbors.
 func TestModifyBatchPipelined(t *testing.T) {
 	c := startServer(t)
 	seedBatchPeople(t, c, "A", "B")
 
-	errs := c.ModifyBatch([]ldapclient.ModifyOp{
+	results := c.Pipeline([]ldap.Op{
 		roomOp("cn=A,o=Lucent", "1A"),
 		roomOp("cn=Ghost,o=Lucent", "2B"),
 		roomOp("cn=B,o=Lucent", "3C"),
 	})
-	if len(errs) != 3 {
-		t.Fatalf("got %d results, want 3", len(errs))
+	if len(results) != 3 {
+		t.Fatalf("got %d results, want 3", len(results))
 	}
-	if errs[0] != nil || errs[2] != nil {
-		t.Errorf("healthy ops errored: %v / %v", errs[0], errs[2])
+	if results[0].Err != nil || results[2].Err != nil {
+		t.Errorf("healthy ops errored: %v / %v", results[0].Err, results[2].Err)
 	}
-	if !ldap.IsCode(errs[1], ldap.ResultNoSuchObject) {
-		t.Errorf("errs[1] = %v, want noSuchObject", errs[1])
+	if !ldap.IsCode(results[1].Err, ldap.ResultNoSuchObject) {
+		t.Errorf("results[1].Err = %v, want noSuchObject", results[1].Err)
 	}
 	for name, want := range map[string]string{"cn=A,o=Lucent": "1A", "cn=B,o=Lucent": "3C"} {
 		e, err := c.SearchOne(&ldap.SearchRequest{BaseDN: name, Scope: ldap.ScopeBaseObject})
@@ -57,43 +56,12 @@ func TestModifyBatchPipelined(t *testing.T) {
 			t.Errorf("%s room = %v, %v; want %s", name, e, err, want)
 		}
 	}
-	if got := c.ModifyBatch(nil); len(got) != 0 {
-		t.Errorf("empty batch returned %d results", len(got))
+	if got := c.Pipeline(nil); len(got) != 0 {
+		t.Errorf("empty burst returned %d results", len(got))
 	}
-	// The connection survives a batch and still serves ordinary requests.
+	// The connection survives a burst and still serves ordinary requests.
 	if _, err := c.SearchOne(&ldap.SearchRequest{BaseDN: "cn=A,o=Lucent", Scope: ldap.ScopeBaseObject}); err != nil {
-		t.Errorf("post-batch search: %v", err)
-	}
-}
-
-// TestPoolModifyBatchChunks drives a batch larger than the pool's chunk size
-// (64) through pooled connections.
-func TestPoolModifyBatchChunks(t *testing.T) {
-	p := startPool(t, 2)
-	names := make([]string, 100)
-	for i := range names {
-		names[i] = fmt.Sprintf("P%03d", i)
-	}
-	seedBatchPeople(t, p, names...)
-
-	ops := make([]ldapclient.ModifyOp, len(names))
-	for i, n := range names {
-		ops[i] = roomOp("cn="+n+",o=Lucent", fmt.Sprintf("R%03d", i))
-	}
-	errs := p.ModifyBatch(ops)
-	if len(errs) != len(ops) {
-		t.Fatalf("got %d results, want %d", len(errs), len(ops))
-	}
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("op %d: %v", i, err)
-		}
-	}
-	for i, n := range names {
-		e, err := p.SearchOne(&ldap.SearchRequest{BaseDN: "cn=" + n + ",o=Lucent", Scope: ldap.ScopeBaseObject})
-		if err != nil || e.First("roomNumber") != fmt.Sprintf("R%03d", i) {
-			t.Fatalf("%s room = %v, %v", n, e, err)
-		}
+		t.Errorf("post-burst search: %v", err)
 	}
 }
 
@@ -102,8 +70,8 @@ func TestModifyBatchAfterClose(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	errs := c.ModifyBatch([]ldapclient.ModifyOp{roomOp("cn=A,o=Lucent", "1A")})
-	if len(errs) != 1 || errs[0] == nil {
-		t.Errorf("batch on closed conn = %v", errs)
+	results := c.Pipeline([]ldap.Op{roomOp("cn=A,o=Lucent", "1A")})
+	if len(results) != 1 || results[0].Err == nil {
+		t.Errorf("burst on closed conn = %+v", results)
 	}
 }

@@ -220,12 +220,6 @@ func (c *Conn) Modify(dn string, changes []ldap.Change) error {
 	return resp.Result.Err()
 }
 
-// ModifyOp is one element of a ModifyBatch.
-type ModifyOp struct {
-	DN      string
-	Changes []ldap.Change
-}
-
 // PipelineResult carries the outcome of one pipelined operation: the final
 // response op, collected search entries (search requests only), and the
 // operation's error (transport or result).
@@ -342,25 +336,6 @@ func resultErr(req, resp ldap.Op) error {
 		}
 	}
 	return fmt.Errorf("ldapclient: unexpected response %T to %T", resp, req)
-}
-
-// ModifyBatch pipelines a set of modify operations over the connection (see
-// Pipeline) — the payoff for bulk reconciliation (the UM sync engine's
-// directory writebacks).
-//
-// The returned slice has one element per op: nil on success, the op's
-// result error otherwise. A transport failure fills every remaining slot.
-func (c *Conn) ModifyBatch(ops []ModifyOp) []error {
-	reqs := make([]ldap.Op, len(ops))
-	for i, op := range ops {
-		reqs[i] = &ldap.ModifyRequest{DN: op.DN, Changes: op.Changes}
-	}
-	results := c.Pipeline(reqs)
-	errs := make([]error, len(ops))
-	for i, r := range results {
-		errs[i] = r.Err
-	}
-	return errs
 }
 
 // ModifyDN renames an entry.

@@ -6,9 +6,10 @@ import (
 
 // Pool multiplexes LDAP operations over a fixed set of connections to one
 // server. A single Conn serializes requests on the wire (c.mu), so
-// concurrent callers — the gateway trapping updates on many client
-// connections, the UM's shards writing back — queue behind each other; the
-// pool lets min(callers, size) operations proceed in parallel.
+// concurrent callers queue behind each other; the pool lets min(callers,
+// size) operations proceed in parallel. MetaComm's own components reach
+// their directory in process (ldapserver.DITClient); the benchmark keeps a
+// Pool to measure what a checkout costs (ldapclient.pool_wait_us).
 //
 // Each operation checks a connection out of the free list for its full
 // round-trip, so search-entry streams never interleave. Binds are NOT pooled
@@ -110,29 +111,6 @@ func (p *Pool) Modify(dn string, changes []ldap.Change) error {
 	c := p.get()
 	defer p.put(c)
 	return c.Modify(dn, changes)
-}
-
-// modifyBatchChunk bounds how many pipelined modifies ride one connection
-// checkout: large enough to amortize the round-trip, small enough to bound
-// socket buffering and keep the pool's other connections fed.
-const modifyBatchChunk = 64
-
-// ModifyBatch pipelines the modifies over pooled connections, chunked so a
-// huge batch neither monopolizes one connection nor overruns socket
-// buffers. Chunks run sequentially, so result order matches op order.
-func (p *Pool) ModifyBatch(ops []ModifyOp) []error {
-	errs := make([]error, 0, len(ops))
-	for len(ops) > 0 {
-		n := len(ops)
-		if n > modifyBatchChunk {
-			n = modifyBatchChunk
-		}
-		c := p.get()
-		errs = append(errs, c.ModifyBatch(ops[:n])...)
-		p.put(c)
-		ops = ops[n:]
-	}
-	return errs
 }
 
 // ModifyDN renames an entry.

@@ -6,6 +6,7 @@ import (
 	"metacomm/internal/directory"
 	"metacomm/internal/dn"
 	"metacomm/internal/ldap"
+	"metacomm/internal/ldapclient"
 )
 
 // DITHandler serves LDAP operations from an in-memory directory.DIT with the
@@ -208,4 +209,73 @@ func (h *DITHandler) Compare(c *Conn, req *ldap.CompareRequest) ldap.Result {
 func (h *DITHandler) Extended(c *Conn, req *ldap.ExtendedRequest) *ldap.ExtendedResponse {
 	return &ldap.ExtendedResponse{Result: ldap.Result{
 		Code: ldap.ResultProtocolError, Message: "unsupported extended operation " + req.Name}}
+}
+
+// DITClient is the in-process directory client: the LTAP gateway's reads
+// (ltap.Backend) and the Update Manager's writes (filter.LDAPClient) call a
+// DITHandler directly when the DIT lives in their process. Each method
+// makes the same request an ldapclient.Conn would send to that handler
+// behind a listener and converts the result the way the Conn does, so
+// codes, messages, attribute selection and the partial entries of a
+// sizeLimitExceeded search are exactly the wire's; returned entries own
+// their values.
+type DITClient struct {
+	h *DITHandler
+	// conn is the anonymous connection every call runs on; a handler with
+	// no RootDN lets it update.
+	conn Conn
+}
+
+// NewDITClient returns an in-process client of d.
+func NewDITClient(d *directory.DIT) *DITClient { return &DITClient{h: NewDITHandler(d)} }
+
+// Bind authenticates as the handler would a wire bind.
+func (c *DITClient) Bind(name, password string) error {
+	return c.h.Bind(&c.conn, &ldap.BindRequest{Version: 3, Name: name, Password: password}).Err()
+}
+
+// Search collects the matching entries. On a non-success result (e.g.
+// sizeLimitExceeded) the entries found so far come back with the error, as
+// ldapclient.Conn.Search returns them.
+func (c *DITClient) Search(req *ldap.SearchRequest) ([]*ldapclient.Entry, error) {
+	var out []*ldapclient.Entry
+	res := c.h.Search(&c.conn, req, func(e *ldap.SearchResultEntry) error {
+		// The two types have the same fields; the handler built e afresh.
+		out = append(out, (*ldapclient.Entry)(e))
+		return nil
+	})
+	return out, res.Err()
+}
+
+// Compare tests an attribute value assertion; it returns true on
+// compareTrue.
+func (c *DITClient) Compare(dn, attr, value string) (bool, error) {
+	res := c.h.Compare(&c.conn, &ldap.CompareRequest{DN: dn, Attr: attr, Value: value})
+	switch res.Code {
+	case ldap.ResultCompareTrue:
+		return true, nil
+	case ldap.ResultCompareFalse:
+		return false, nil
+	}
+	return false, res.Err()
+}
+
+// Add creates an entry.
+func (c *DITClient) Add(dn string, attrs []ldap.Attribute) error {
+	return c.h.Add(&c.conn, &ldap.AddRequest{DN: dn, Attributes: attrs}).Err()
+}
+
+// Delete removes a leaf entry.
+func (c *DITClient) Delete(dn string) error {
+	return c.h.Delete(&c.conn, &ldap.DeleteRequest{DN: dn}).Err()
+}
+
+// Modify applies changes to an entry.
+func (c *DITClient) Modify(dn string, changes []ldap.Change) error {
+	return c.h.Modify(&c.conn, &ldap.ModifyRequest{DN: dn, Changes: changes}).Err()
+}
+
+// ModifyDN renames an entry.
+func (c *DITClient) ModifyDN(dn, newRDN string, deleteOldRDN bool) error {
+	return c.h.ModifyDN(&c.conn, &ldap.ModifyDNRequest{DN: dn, NewRDN: newRDN, DeleteOldRDN: deleteOldRDN}).Err()
 }

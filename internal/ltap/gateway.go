@@ -20,8 +20,8 @@ const (
 
 // Backend abstracts the real LDAP server behind the gateway. It matches the
 // subset of ldapclient.Conn the gateway needs, so the gateway can run over a
-// network connection (gateway mode) or directly on a server handler wrapped
-// in-process (library mode).
+// network connection to a separate server (the paper's deployment, §5.5) or
+// in process on the DIT it shares a process with (ldapserver.DITClient).
 type Backend interface {
 	Bind(name, password string) error
 	Search(req *ldap.SearchRequest) ([]*ldapclient.Entry, error)
@@ -41,7 +41,6 @@ type Gateway struct {
 	locks    *lockTable
 	nextID   atomic.Uint64
 	triggers triggerSet
-	cache    *BeforeImageCache
 
 	searches       atomic.Uint64
 	searchNs       atomic.Uint64
@@ -62,8 +61,8 @@ type GatewayStats struct {
 	SearchNs uint64
 	// Updates counts trapped update operations.
 	Updates uint64
-	// BackendFetches / BackendFetchNs cover before-image fetches that went
-	// to the backend (cache misses, or all fetches without a cache).
+	// BackendFetches / BackendFetchNs cover the before-image read every trap
+	// makes from the backend.
 	BackendFetches uint64
 	BackendFetchNs uint64
 	// Quiesces / QuiesceNs count the quiesce windows and their total wall
@@ -73,7 +72,14 @@ type GatewayStats struct {
 	QuiesceNs               uint64
 	UpdatesDelayedByQuiesce uint64
 	Cache                   CacheStats
-	CacheEnabled            bool
+}
+
+// CacheStats is always zero: the gateway keeps no before-image cache, since
+// every before-image is one backend read under the entry's LTAP lock. The
+// benchmark's ltap.before_image_hit_ratio still reads these two fields.
+type CacheStats struct {
+	Hits   uint64
+	Misses uint64
 }
 
 var _ ldapserver.Handler = (*Gateway)(nil)
@@ -82,10 +88,6 @@ var _ ldapserver.Handler = (*Gateway)(nil)
 func NewGateway(backend Backend, action Action) *Gateway {
 	return &Gateway{backend: backend, action: action, locks: newLockTable()}
 }
-
-// UseCache installs a before-image cache on the trap path. Call before
-// serving.
-func (g *Gateway) UseCache(c *BeforeImageCache) { g.cache = c }
 
 // Stats snapshots the gateway's counters.
 func (g *Gateway) Stats() GatewayStats {
@@ -97,10 +99,6 @@ func (g *Gateway) Stats() GatewayStats {
 		BackendFetchNs: g.backendFetchNs.Load(),
 	}
 	s.Quiesces, s.QuiesceNs, s.UpdatesDelayedByQuiesce = g.locks.quiesceStats()
-	if g.cache != nil {
-		s.CacheEnabled = true
-		s.Cache = g.cache.Stats()
-	}
 	return s
 }
 
@@ -170,15 +168,13 @@ func resultFromErr(err error) ldap.Result {
 	return ldap.Result{Code: ldap.ResultOther, Message: err.Error()}
 }
 
-// fetchOld resolves the entry's current attributes: from the before-image
-// cache when warm, falling back to a base-scope search against the backing
-// server (and writing the result through).
+// fetchOld reads the entry's current attributes with a base-scope search
+// against the backing server. The trap path calls it holding the entry's
+// LTAP lock, and every update to the entry that goes through the gateway
+// commits under that lock, so the image is the entry's last committed state
+// — including writes that bypassed the gateway (the UM's write-backs,
+// replicated applies), which land in the directory before the read.
 func (g *Gateway) fetchOld(name string) lexpress.Record {
-	if g.cache != nil {
-		if rec, ok := g.cache.Lookup(name); ok {
-			return rec
-		}
-	}
 	start := time.Now()
 	entries, err := g.backend.Search(&ldap.SearchRequest{
 		BaseDN: name,
@@ -193,9 +189,6 @@ func (g *Gateway) fetchOld(name string) lexpress.Record {
 	for _, a := range entries[0].Attributes {
 		rec.Set(a.Type, a.Values...)
 	}
-	if g.cache != nil {
-		g.cache.Store(name, rec)
-	}
 	return rec
 }
 
@@ -208,14 +201,6 @@ func (g *Gateway) trap(c *ldapserver.Conn, ev Event, names ...dn.DN) ldap.Result
 	ev.BoundDN = c.BoundDN
 	ev.Old = g.fetchOld(ev.DN)
 	res := g.action.OnUpdate(ev)
-	// Without changelog coherence the cache must not outlive the write: drop
-	// every entry this update touched before releasing the locks. (With the
-	// changelog attached, the commit's record reaches the cache first.)
-	if g.cache != nil && res.Code == ldap.ResultSuccess && !g.cache.ChangelogAttached() {
-		for _, n := range names {
-			g.cache.Invalidate(n.String())
-		}
-	}
 	g.locks.unlockEntries(keys)
 	// Post-update triggers fire outside the locks, asynchronously.
 	g.fireTriggers(ev, res, names[0])
@@ -255,10 +240,16 @@ func (g *Gateway) Modify(c *ldapserver.Conn, req *ldap.ModifyRequest) ldap.Resul
 
 // ModifyDN traps a modifyDN request, locking both the old and the new name
 // so concurrent operations against either block until the rename settles.
+// A move under a new superior is refused before anything is locked, as the
+// directory itself refuses it: the event and the Update Manager carry only a
+// new RDN.
 func (g *Gateway) ModifyDN(c *ldapserver.Conn, req *ldap.ModifyDNRequest) ldap.Result {
 	name, err := dn.Parse(req.DN)
 	if err != nil {
 		return ldap.Result{Code: ldap.ResultInvalidDNSyntax, Message: err.Error()}
+	}
+	if req.NewSuperior != "" {
+		return ldap.Result{Code: ldap.ResultUnwillingToPerform, Message: "newSuperior not supported"}
 	}
 	newRDN, err := dn.Parse(req.NewRDN)
 	if err != nil || newRDN.Depth() != 1 {

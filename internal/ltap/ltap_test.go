@@ -1,6 +1,7 @@
 package ltap
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -75,10 +76,189 @@ func startGateway(t testing.TB, g *Gateway) *ldapclient.Conn {
 	return c
 }
 
+// applyAction services trapped events against the DIT, standing in for the
+// Update Manager's write-back (LTAP itself never applies updates).
+func applyAction(d *directory.DIT) ActionFunc {
+	return func(ev Event) ldap.Result {
+		name, err := dn.Parse(ev.DN)
+		if err != nil {
+			return ldap.Result{Code: ldap.ResultInvalidDNSyntax, Message: err.Error()}
+		}
+		switch ev.Kind {
+		case EventAdd:
+			err = d.Add(name, directory.AttrsFrom(ev.Attrs))
+		case EventDelete:
+			err = d.Delete(name)
+		case EventModify:
+			changes := make([]ldap.Change, 0, len(ev.Changes))
+			for _, c := range ev.Changes {
+				lc, cerr := c.ToLDAP()
+				if cerr != nil {
+					return ldap.Result{Code: ldap.ResultProtocolError, Message: cerr.Error()}
+				}
+				changes = append(changes, lc)
+			}
+			err = d.Modify(name, changes)
+		case EventModifyDN:
+			newRDN, perr := dn.Parse(ev.NewRDN)
+			if perr != nil || newRDN.Depth() != 1 {
+				return ldap.Result{Code: ldap.ResultInvalidDNSyntax, Message: "bad newRDN"}
+			}
+			err = d.ModifyDN(name, newRDN.RDN(), ev.DeleteOldRDN)
+		}
+		if err != nil {
+			return resultFromErr(err)
+		}
+		return ldap.Result{Code: ldap.ResultSuccess}
+	}
+}
+
+// applyingGateway is a gateway whose action records each trapped event and
+// then applies it to d.
+func applyingGateway(d *directory.DIT) (*Gateway, *recordingAction) {
+	rec := &recordingAction{}
+	apply := applyAction(d)
+	return NewGateway(ldapserver.NewDITClient(d), ActionFunc(func(ev Event) ldap.Result {
+		rec.OnUpdate(ev)
+		return apply(ev)
+	})), rec
+}
+
+func replaceReq(name, attr, value string) *ldap.ModifyRequest {
+	return &ldap.ModifyRequest{DN: name, Changes: []ldap.Change{{
+		Op: ldap.ModReplace, Attribute: ldap.Attribute{Type: attr, Values: []string{value}}}}}
+}
+
+// TestBeforeImageFollowsRepeatedWrites: each trap's before-image is the
+// previous committed write, read from the directory under the entry's lock.
+func TestBeforeImageFollowsRepeatedWrites(t *testing.T) {
+	d := testDIT(t)
+	g, action := applyingGateway(d)
+	conn := &ldapserver.Conn{}
+	const name = "cn=John Doe,o=Lucent"
+	for i := 1; i <= 5; i++ {
+		if res := g.Modify(conn, replaceReq(name, "roomNumber", fmt.Sprintf("2C-%03d", i))); res.Code != ldap.ResultSuccess {
+			t.Fatalf("modify %d: %+v", i, res)
+		}
+	}
+	evs := action.all()
+	if len(evs) != 5 {
+		t.Fatalf("events = %d", len(evs))
+	}
+	if evs[0].Old.Has("roomNumber") {
+		t.Errorf("first old image = %v", evs[0].Old)
+	}
+	for i := 1; i < 5; i++ {
+		if got, want := evs[i].Old.First("roomNumber"), fmt.Sprintf("2C-%03d", i); got != want {
+			t.Errorf("trap %d old roomNumber = %q, want %q", i+1, got, want)
+		}
+	}
+	if st := g.Stats(); st.BackendFetches != 5 || st.Cache.Hits != 0 || st.Cache.Misses != 0 {
+		t.Errorf("stats = %+v, want 5 backend fetches and zero cache counters", st)
+	}
+}
+
+// TestBeforeImageSeesWritesThatBypassTheGateway: a write straight to the
+// directory (a device-originated update the UM applied) and a replicated
+// apply are both in the next trap's before-image.
+func TestBeforeImageSeesWritesThatBypassTheGateway(t *testing.T) {
+	d := testDIT(t)
+	action := &recordingAction{}
+	g := NewGateway(ldapserver.NewDITClient(d), action)
+	conn := &ldapserver.Conn{}
+	name := dn.MustParse("cn=John Doe,o=Lucent")
+
+	if err := d.Modify(name, []ldap.Change{{Op: ldap.ModReplace,
+		Attribute: ldap.Attribute{Type: "telephoneNumber", Values: []string{"+1 908 582 7777"}}}}); err != nil {
+		t.Fatal(err)
+	}
+	if res := g.Modify(conn, replaceReq(name.String(), "roomNumber", "2C-401")); res.Code != ldap.ResultSuccess {
+		t.Fatalf("modify: %+v", res)
+	}
+	image := directory.AttrsFrom(map[string][]string{
+		"objectClass": {"mcPerson"}, "cn": {"John Doe"}, "sn": {"Doe"},
+		"telephoneNumber": {"+1 908 582 8888"}})
+	if _, err := d.ApplyRemote(name, image, directory.Stamp{Seq: 1 << 40, Node: 9}, false); err != nil {
+		t.Fatal(err)
+	}
+	if res := g.Modify(conn, replaceReq(name.String(), "roomNumber", "2C-402")); res.Code != ldap.ResultSuccess {
+		t.Fatalf("modify: %+v", res)
+	}
+	evs := action.all()
+	if len(evs) != 2 {
+		t.Fatalf("events = %d", len(evs))
+	}
+	if got := evs[0].Old.First("telephoneNumber"); got != "+1 908 582 7777" {
+		t.Errorf("old telephoneNumber after DIT.Modify = %q", got)
+	}
+	if got := evs[1].Old.First("telephoneNumber"); got != "+1 908 582 8888" {
+		t.Errorf("old telephoneNumber after ApplyRemote = %q", got)
+	}
+}
+
+// TestBeforeImageFollowsAddAndDelete: an add traps no before-image, the
+// next write sees what it added, and after a delete the name is empty again.
+func TestBeforeImageFollowsAddAndDelete(t *testing.T) {
+	d := testDIT(t)
+	g, action := applyingGateway(d)
+	conn := &ldapserver.Conn{}
+	const name = "cn=Pat Smith,o=Lucent"
+	add := &ldap.AddRequest{DN: name, Attributes: []ldap.Attribute{
+		{Type: "objectClass", Values: []string{"mcPerson"}}, {Type: "sn", Values: []string{"Smith"}}}}
+	for i, res := range []ldap.Result{
+		g.Add(conn, add),
+		g.Modify(conn, replaceReq(name, "roomNumber", "1A")),
+		g.Delete(conn, &ldap.DeleteRequest{DN: name}),
+		g.Add(conn, add),
+	} {
+		if res.Code != ldap.ResultSuccess {
+			t.Fatalf("op %d: %+v", i, res)
+		}
+	}
+	evs := action.all()
+	if evs[0].Old != nil || evs[3].Old != nil {
+		t.Errorf("add before-images = %v, %v; want none", evs[0].Old, evs[3].Old)
+	}
+	if evs[1].Old.First("sn") != "Smith" || evs[1].Old.Has("roomNumber") {
+		t.Errorf("modify before-image = %v", evs[1].Old)
+	}
+	if evs[2].Old.First("roomNumber") != "1A" {
+		t.Errorf("delete before-image = %v", evs[2].Old)
+	}
+}
+
+// TestBeforeImageAfterModifyDN: after a rename the old name has no
+// before-image and the new name carries the moved entry.
+func TestBeforeImageAfterModifyDN(t *testing.T) {
+	d := testDIT(t)
+	g, action := applyingGateway(d)
+	conn := &ldapserver.Conn{}
+	if res := g.ModifyDN(conn, &ldap.ModifyDNRequest{
+		DN: "cn=John Doe,o=Lucent", NewRDN: "cn=John Q Doe", DeleteOldRDN: true}); res.Code != ldap.ResultSuccess {
+		t.Fatalf("rename: %+v", res)
+	}
+	if res := g.Modify(conn, replaceReq("cn=John Doe,o=Lucent", "roomNumber", "x")); res.Code == ldap.ResultSuccess {
+		t.Error("modify of the old name succeeded after the rename")
+	}
+	if res := g.Modify(conn, replaceReq("cn=John Q Doe,o=Lucent", "roomNumber", "2C-401")); res.Code != ldap.ResultSuccess {
+		t.Fatalf("modify of the new name: %+v", res)
+	}
+	evs := action.all()
+	if len(evs) != 3 {
+		t.Fatalf("events = %d", len(evs))
+	}
+	if evs[1].Old != nil {
+		t.Errorf("old name's before-image = %v", evs[1].Old)
+	}
+	if got := evs[2].Old.First("cn"); got != "John Q Doe" || evs[2].Old.First("telephoneNumber") != "+1 908 582 9000" {
+		t.Errorf("new name's before-image = %v", evs[2].Old)
+	}
+}
+
 func TestReadsPassThroughWithoutAction(t *testing.T) {
 	d := testDIT(t)
 	action := &recordingAction{}
-	g := NewGateway(&LocalBackend{DIT: d}, action)
+	g := NewGateway(ldapserver.NewDITClient(d), action)
 	c := startGateway(t, g)
 
 	entries, err := c.Search(&ldap.SearchRequest{
@@ -103,7 +283,7 @@ func TestReadsPassThroughWithoutAction(t *testing.T) {
 func TestUpdatesAreTrappedWithOldImage(t *testing.T) {
 	d := testDIT(t)
 	action := &recordingAction{}
-	g := NewGateway(&LocalBackend{DIT: d}, action)
+	g := NewGateway(ldapserver.NewDITClient(d), action)
 	c := startGateway(t, g)
 
 	if err := c.Modify("cn=John Doe,o=Lucent", []ldap.Change{
@@ -135,7 +315,7 @@ func TestUpdatesAreTrappedWithOldImage(t *testing.T) {
 func TestActionResultPropagatesToClient(t *testing.T) {
 	d := testDIT(t)
 	action := &recordingAction{result: ldap.Result{Code: ldap.ResultUnwillingToPerform, Message: "nope"}}
-	g := NewGateway(&LocalBackend{DIT: d}, action)
+	g := NewGateway(ldapserver.NewDITClient(d), action)
 	c := startGateway(t, g)
 	err := c.Delete("cn=John Doe,o=Lucent")
 	if !ldap.IsCode(err, ldap.ResultUnwillingToPerform) {
@@ -158,7 +338,7 @@ func TestConflictingUpdatesSerializePerEntry(t *testing.T) {
 		active.Add(-1)
 		return ldap.Result{Code: ldap.ResultSuccess}
 	})
-	g := NewGateway(&LocalBackend{DIT: d}, action)
+	g := NewGateway(ldapserver.NewDITClient(d), action)
 
 	conn := &ldapserver.Conn{}
 	var wg sync.WaitGroup
@@ -199,7 +379,7 @@ func TestDifferentEntriesProceedConcurrently(t *testing.T) {
 		active.Add(-1)
 		return ldap.Result{Code: ldap.ResultSuccess}
 	})
-	g := NewGateway(&LocalBackend{DIT: d}, action)
+	g := NewGateway(ldapserver.NewDITClient(d), action)
 	conn := &ldapserver.Conn{}
 	var wg sync.WaitGroup
 	for _, name := range []string{"cn=John Doe,o=Lucent", "cn=Pat Smith,o=Lucent"} {
@@ -220,7 +400,7 @@ func TestDifferentEntriesProceedConcurrently(t *testing.T) {
 func TestQuiesceBlocksUpdatesAllowsReads(t *testing.T) {
 	d := testDIT(t)
 	action := &recordingAction{}
-	g := NewGateway(&LocalBackend{DIT: d}, action)
+	g := NewGateway(ldapserver.NewDITClient(d), action)
 	if !g.Quiesce() {
 		t.Fatal("quiesce failed")
 	}
@@ -263,7 +443,7 @@ func TestQuiesceWaitsForInFlightUpdates(t *testing.T) {
 		<-release
 		return ldap.Result{Code: ldap.ResultSuccess}
 	})
-	g := NewGateway(&LocalBackend{DIT: d}, action)
+	g := NewGateway(ldapserver.NewDITClient(d), action)
 	conn := &ldapserver.Conn{}
 	go g.Delete(conn, &ldap.DeleteRequest{DN: "cn=John Doe,o=Lucent"})
 	<-started
@@ -289,7 +469,7 @@ func TestQuiesceWaitsForInFlightUpdates(t *testing.T) {
 
 func TestQuiesceExtendedOp(t *testing.T) {
 	d := testDIT(t)
-	g := NewGateway(&LocalBackend{DIT: d}, &recordingAction{})
+	g := NewGateway(ldapserver.NewDITClient(d), &recordingAction{})
 	c := startGateway(t, g)
 	if _, err := c.Extended(OIDQuiesceBegin, nil); err != nil {
 		t.Fatal(err)
@@ -310,7 +490,7 @@ func TestQuiesceExtendedOp(t *testing.T) {
 
 func TestQuiesceRequiresAdminWhenConfigured(t *testing.T) {
 	d := testDIT(t)
-	g := NewGateway(&LocalBackend{DIT: d}, &recordingAction{})
+	g := NewGateway(ldapserver.NewDITClient(d), &recordingAction{})
 	g.AdminDN = "cn=um"
 	c := startGateway(t, g)
 	if _, err := c.Extended(OIDQuiesceBegin, nil); !ldap.IsCode(err, ldap.ResultInsufficientAccess) {
@@ -336,7 +516,7 @@ func TestModifyDNLocksBothNames(t *testing.T) {
 		}
 		return ldap.Result{Code: ldap.ResultSuccess}
 	})
-	g := NewGateway(&LocalBackend{DIT: d}, action)
+	g := NewGateway(ldapserver.NewDITClient(d), action)
 	conn := &ldapserver.Conn{}
 	go g.ModifyDN(conn, &ldap.ModifyDNRequest{
 		DN: "cn=John Doe,o=Lucent", NewRDN: "cn=John Q Doe", DeleteOldRDN: true})
@@ -411,7 +591,7 @@ func TestRemoteActionThroughGateway(t *testing.T) {
 	}
 	t.Cleanup(func() { remote.Close() })
 
-	g := NewGateway(&LocalBackend{DIT: d}, remote)
+	g := NewGateway(ldapserver.NewDITClient(d), remote)
 	c := startGateway(t, g)
 	if err := c.Modify("cn=John Doe,o=Lucent", []ldap.Change{
 		{Op: ldap.ModAdd, Attribute: ldap.Attribute{Type: "mail", Values: []string{"jd@lucent.com"}}},

@@ -13,7 +13,7 @@ import (
 // the synchronization pass's update-rejection cost made observable.
 func TestQuiesceAccounting(t *testing.T) {
 	d := testDIT(t)
-	g := NewGateway(&LocalBackend{DIT: d}, &recordingAction{})
+	g := NewGateway(ldapserver.NewDITClient(d), &recordingAction{})
 	if s := g.Stats(); s.Quiesces != 0 || s.QuiesceNs != 0 || s.UpdatesDelayedByQuiesce != 0 {
 		t.Fatalf("fresh gateway stats = %+v", s)
 	}

@@ -46,7 +46,7 @@ func modify(g *Gateway, name string) ldap.Result {
 }
 
 func TestTriggerFiresOnMatchingUpdate(t *testing.T) {
-	g := NewGateway(&LocalBackend{DIT: testDIT(t)}, okAction())
+	g := NewGateway(ldapserver.NewDITClient(testDIT(t)), okAction())
 	log := &firedLog{}
 	g.RegisterTrigger(dn.MustParse("o=Lucent"), []EventKind{EventModify}, log.fn)
 
@@ -64,7 +64,7 @@ func TestTriggerFiresOnMatchingUpdate(t *testing.T) {
 }
 
 func TestTriggerSubtreeScoping(t *testing.T) {
-	g := NewGateway(&LocalBackend{DIT: testDIT(t)}, okAction())
+	g := NewGateway(ldapserver.NewDITClient(testDIT(t)), okAction())
 	log := &firedLog{}
 	g.RegisterTrigger(dn.MustParse("o=SomewhereElse"), nil, log.fn)
 	modify(g, "cn=John Doe,o=Lucent")
@@ -75,7 +75,7 @@ func TestTriggerSubtreeScoping(t *testing.T) {
 }
 
 func TestTriggerAllKindsAndWholeTree(t *testing.T) {
-	g := NewGateway(&LocalBackend{DIT: testDIT(t)}, okAction())
+	g := NewGateway(ldapserver.NewDITClient(testDIT(t)), okAction())
 	log := &firedLog{}
 	g.RegisterTrigger(dn.DN{}, nil, log.fn)
 	modify(g, "cn=John Doe,o=Lucent")
@@ -87,7 +87,7 @@ func TestTriggerAllKindsAndWholeTree(t *testing.T) {
 }
 
 func TestTriggerSkipsFailuresUnlessRequested(t *testing.T) {
-	g := NewGateway(&LocalBackend{DIT: testDIT(t)}, failAction())
+	g := NewGateway(ldapserver.NewDITClient(testDIT(t)), failAction())
 	normal := &firedLog{}
 	audit := &firedLog{}
 	g.RegisterTrigger(dn.DN{}, nil, normal.fn)
@@ -103,7 +103,7 @@ func TestTriggerSkipsFailuresUnlessRequested(t *testing.T) {
 }
 
 func TestUnregisterTrigger(t *testing.T) {
-	g := NewGateway(&LocalBackend{DIT: testDIT(t)}, okAction())
+	g := NewGateway(ldapserver.NewDITClient(testDIT(t)), okAction())
 	log := &firedLog{}
 	id := g.RegisterTrigger(dn.DN{}, nil, log.fn)
 	if !g.UnregisterTrigger(id) {
@@ -120,7 +120,7 @@ func TestUnregisterTrigger(t *testing.T) {
 }
 
 func TestTriggerSeesEventDetails(t *testing.T) {
-	g := NewGateway(&LocalBackend{DIT: testDIT(t)}, okAction())
+	g := NewGateway(ldapserver.NewDITClient(testDIT(t)), okAction())
 	log := &firedLog{}
 	g.RegisterTrigger(dn.DN{}, nil, log.fn)
 	modify(g, "cn=John Doe,o=Lucent")

@@ -10,12 +10,6 @@ import (
 	"metacomm/internal/ldapclient"
 )
 
-// batchModifier is the optional pipelined-modify surface (ldapclient.Pool
-// and ldapclient.Conn implement it).
-type batchModifier interface {
-	ModifyBatch(ops []ldapclient.ModifyOp) []error
-}
-
 // recordingClient wraps the backing LDAP client for a synchronization pass:
 // every successful write is noted as (normalized DN, content fingerprint)
 // so the delta drain can tell the pass's own writebacks apart from external
@@ -90,26 +84,6 @@ func (c *recordingClient) Delete(dn string) error {
 		c.note(normalizeDNString(dn), "delete")
 	}
 	return err
-}
-
-// ModifyBatch pipelines the modifies when the inner client supports it
-// (pooled connections) and degrades to sequential round-trips otherwise.
-func (c *recordingClient) ModifyBatch(ops []ldapclient.ModifyOp) []error {
-	var errs []error
-	if bm, ok := c.inner.(batchModifier); ok {
-		errs = bm.ModifyBatch(ops)
-	} else {
-		errs = make([]error, len(ops))
-		for i, op := range ops {
-			errs[i] = c.inner.Modify(op.DN, op.Changes)
-		}
-	}
-	for i, op := range ops {
-		if errs[i] == nil {
-			c.note(normalizeDNString(op.DN), modifyFingerprint(op.Changes))
-		}
-	}
-	return errs
 }
 
 // modifyFingerprint canonicalizes a change list for own-write attribution.

@@ -24,9 +24,6 @@ const (
 	// updates and the workers' own writebacks). Overflow is not fatal — the
 	// engine falls back to a classic full-quiesce pass — just slow.
 	syncChangelogBuffer = 8192
-	// syncModifyBatchSize is how many planned directory modifies a worker
-	// accumulates before flushing them as one pipelined ModifyBatch.
-	syncModifyBatchSize = 16
 )
 
 // SyncStats summarize one synchronization pass.
@@ -555,15 +552,15 @@ func (e *syncEngine) runPool(items []syncItem) {
 	chans := make([]chan syncItem, n)
 	var wg sync.WaitGroup
 	for i := range chans {
-		chans[i] = make(chan syncItem, 2*syncModifyBatchSize)
+		// A few dozen queued items let the dispatcher run ahead while a
+		// worker waits on a device round trip.
+		chans[i] = make(chan syncItem, 32)
 		wg.Add(1)
 		go func(ch chan syncItem) {
 			defer wg.Done()
-			w := &syncWorker{eng: e}
 			for it := range ch {
-				w.process(it)
+				e.process(it)
 			}
-			w.flush()
 		}(chans[i])
 	}
 	for _, it := range items {
@@ -577,29 +574,17 @@ func (e *syncEngine) runPool(items []syncItem) {
 	wg.Wait()
 }
 
-// syncWorker reconciles items on one pool goroutine, accumulating planned
-// directory modifies into a pipelined batch.
-type syncWorker struct {
-	eng *syncEngine
-	ops []ldapclient.ModifyOp
-	ctx []batchCtx
-}
-
-type batchCtx struct {
-	dev *syncDevice
-	key string
-}
-
-func (w *syncWorker) process(it syncItem) {
+// process reconciles one item on a pool goroutine.
+func (e *syncEngine) process(it syncItem) {
 	if it.dirEntry != nil {
-		w.processPass2(it)
+		e.processPass2(it)
 		return
 	}
 	if it.entry == nil {
-		w.processAdd(it)
+		e.processAdd(it)
 		return
 	}
-	w.processMatched(it)
+	e.reconcilePair(it, it.entry)
 }
 
 // processAdd handles a device record with no directory entry. The bulk
@@ -607,45 +592,40 @@ func (w *syncWorker) process(it syncItem) {
 // between the snapshot and our add: entryAlreadyExists is resolved by
 // locating the live entry by key and converging against it, never by
 // blindly qualifying the RDN (which would duplicate the person).
-func (w *syncWorker) processAdd(it syncItem) {
+func (e *syncEngine) processAdd(it syncItem) {
 	dev := it.dev
-	err := w.eng.writer.AddEntryOnce(it.img)
+	err := e.writer.AddEntryOnce(it.img)
 	if ldap.IsCode(err, ldap.ResultEntryAlreadyExists) {
-		w.flush() // live reads next; drain queued writes first
-		live, lerr := w.eng.writer.Locate(dev.ldapKey, it.key)
+		live, lerr := e.writer.Locate(dev.ldapKey, it.key)
 		if lerr != nil {
 			dev.bump(func(s *SyncStats) { s.Errors++ })
-			w.eng.u.logError(dev.name, "ldap", "sync-add", it.key, lerr)
+			e.u.logError(dev.name, "ldap", "sync-add", it.key, lerr)
 			return
 		}
 		if live != nil {
 			// The person exists under a different key index view (created
 			// since the snapshot, or shadowed): converge the pair instead.
-			w.reconcilePair(it, live)
+			e.reconcilePair(it, live)
 			return
 		}
 		// The natural name is taken by a DIFFERENT person; qualify the RDN
 		// with the key to keep it unique.
-		err = w.eng.writer.AddEntryQualified(it.img, it.key)
+		err = e.writer.AddEntryQualified(it.img, it.key)
 	}
 	if err != nil {
 		dev.bump(func(s *SyncStats) { s.Errors++ })
-		w.eng.u.logError(dev.name, "ldap", "sync-add", it.key, err)
+		e.u.logError(dev.name, "ldap", "sync-add", it.key, err)
 		return
 	}
 	dev.bump(func(s *SyncStats) { s.DirectoryAdds++ })
 }
 
-// processMatched reconciles a device record against its directory entry.
+// reconcilePair reconciles a device record against its directory entry.
 // Comparison and convergence cover only the attributes the device speaks
 // for (the mapping body's targets), never derive-rule helpers like sn, and
 // never the origin stamp — synchronization is reconciliation, not an
 // update.
-func (w *syncWorker) processMatched(it syncItem) {
-	w.reconcilePair(it, it.entry)
-}
-
-func (w *syncWorker) reconcilePair(it syncItem, entry *ldapclient.Entry) {
+func (e *syncEngine) reconcilePair(it syncItem, entry *ldapclient.Entry) {
 	dev := it.dev
 	cmp := restrictRecord(it.img, dev.mapped)
 	cur := entryMappedRecord(entry, dev.mapped)
@@ -654,28 +634,23 @@ func (w *syncWorker) reconcilePair(it syncItem, entry *ldapclient.Entry) {
 		return
 	}
 	if dev.policy == DeviceWins {
-		plan, err := w.eng.writer.PlanConverge(entry, cur, cmp)
+		plan, err := e.writer.PlanConverge(entry, cur, cmp)
 		if err != nil {
 			dev.bump(func(s *SyncStats) { s.Errors++ })
-			w.eng.u.logError(dev.name, "ldap", "sync-mod", it.key, err)
+			e.u.logError(dev.name, "ldap", "sync-mod", it.key, err)
 			return
 		}
 		if plan.Empty() {
 			dev.bump(func(s *SyncStats) { s.AlreadyInSync++ })
 			return
 		}
-		if plan.RenameFrom != "" {
-			// Renames are the non-atomic ModifyRDN+Modify pair (§5.1);
-			// they run immediately, outside the batch.
-			w.flush()
-			if err := w.eng.writer.ApplyConverge(plan); err != nil {
-				w.convergeError(dev, it.key, err)
-				return
-			}
-			dev.bump(func(s *SyncStats) { s.DirectoryMods++ })
+		// One Modify through the recording client, preceded by the
+		// non-atomic ModifyRDN half (§5.1) when the RDN changes.
+		if err := e.writer.ApplyConverge(plan); err != nil {
+			e.convergeError(dev, it.key, err)
 			return
 		}
-		w.queue(ldapclient.ModifyOp{DN: plan.TargetDN, Changes: plan.Changes}, dev, it.key)
+		dev.bump(func(s *SyncStats) { s.DirectoryMods++ })
 		return
 	}
 	// DirectoryWins: push the directory's state down to the device.
@@ -688,12 +663,12 @@ func (w *syncWorker) reconcilePair(it syncItem, entry *ldapclient.Entry) {
 			err = fmt.Errorf("entry %s not routable to %s", entry.DN, dev.name)
 		}
 		dev.bump(func(s *SyncStats) { s.Errors++ })
-		w.eng.u.logError("ldap", dev.name, "sync-mod", it.key, err)
+		e.u.logError("ldap", dev.name, "sync-mod", it.key, err)
 		return
 	}
 	if _, err := dev.f.df.Apply(tu); err != nil {
 		dev.bump(func(s *SyncStats) { s.Errors++ })
-		w.eng.u.logError("ldap", dev.name, "sync-mod", tu.Key, err)
+		e.u.logError("ldap", dev.name, "sync-mod", tu.Key, err)
 		return
 	}
 	dev.bump(func(s *SyncStats) { s.DeviceMods++ })
@@ -703,17 +678,17 @@ func (w *syncWorker) reconcilePair(it syncItem, entry *ldapclient.Entry) {
 // noSuchObject means the entry was deleted during the bulk pass — the
 // delete's changelog record makes the DN dirty and the delta replay
 // resolves it, so it is not an error.
-func (w *syncWorker) convergeError(dev *syncDevice, key string, err error) {
-	if w.eng.snapshotMode && ldap.IsCode(err, ldap.ResultNoSuchObject) {
+func (e *syncEngine) convergeError(dev *syncDevice, key string, err error) {
+	if e.snapshotMode && ldap.IsCode(err, ldap.ResultNoSuchObject) {
 		return
 	}
 	dev.bump(func(s *SyncStats) { s.Errors++ })
-	w.eng.u.logError(dev.name, "ldap", "sync-mod", key, err)
+	e.u.logError(dev.name, "ldap", "sync-mod", key, err)
 }
 
 // processPass2 creates a device record for a person the directory places on
 // the device.
-func (w *syncWorker) processPass2(it syncItem) {
+func (e *syncEngine) processPass2(it syncItem) {
 	dev := it.dev
 	rec := entryRecord(it.dirEntry)
 	tu, err := dev.f.df.Translate(lexpress.Descriptor{
@@ -725,7 +700,7 @@ func (w *syncWorker) processPass2(it syncItem) {
 	if dev.byKey[tu.Key] {
 		return
 	}
-	if w.eng.snapshotMode && !w.eng.liveExists(it.dirEntry.DN) {
+	if e.snapshotMode && !e.liveExists(it.dirEntry.DN) {
 		// Deleted since the snapshot; creating the device record would
 		// resurrect it. (The delete's delta record covers any remaining
 		// race.)
@@ -733,38 +708,10 @@ func (w *syncWorker) processPass2(it syncItem) {
 	}
 	if _, err := dev.f.df.Apply(tu); err != nil {
 		dev.bump(func(s *SyncStats) { s.Errors++ })
-		w.eng.u.logError("ldap", dev.name, "sync-add", tu.Key, err)
+		e.u.logError("ldap", dev.name, "sync-add", tu.Key, err)
 		return
 	}
 	dev.bump(func(s *SyncStats) { s.DeviceAdds++ })
-}
-
-// queue adds a planned modify to the pipelined batch.
-func (w *syncWorker) queue(op ldapclient.ModifyOp, dev *syncDevice, key string) {
-	w.ops = append(w.ops, op)
-	w.ctx = append(w.ctx, batchCtx{dev: dev, key: key})
-	if len(w.ops) >= syncModifyBatchSize {
-		w.flush()
-	}
-}
-
-// flush issues the queued modifies as one pipelined batch and maps the
-// per-op results back to their devices.
-func (w *syncWorker) flush() {
-	if len(w.ops) == 0 {
-		return
-	}
-	errs := w.eng.rc.ModifyBatch(w.ops)
-	for i, err := range errs {
-		c := w.ctx[i]
-		if err == nil {
-			c.dev.bump(func(s *SyncStats) { s.DirectoryMods++ })
-			continue
-		}
-		w.convergeError(c.dev, c.key, err)
-	}
-	w.ops = w.ops[:0]
-	w.ctx = w.ctx[:0]
 }
 
 // liveExists base-searches the live directory for the DN.

@@ -36,7 +36,7 @@ type Server struct {
 	// run on a machine without the UM; then the page says so).
 	Stats func() um.Stats
 	// GatewayStats, when set, feeds the LTAP gateway section of the status
-	// page: read-path latency and before-image cache effectiveness.
+	// page: read-path and before-image read latency, quiesce windows.
 	GatewayStats func() ltap.GatewayStats
 	// SyncStats, when set, feeds the synchronization section of the status
 	// page: per-device snapshot+delta phase timings for the most recent
@@ -345,21 +345,6 @@ var statusTmpl = template.Must(template.Must(pageTmpl.Clone()).Parse(`{{define "
 <tr><td>Total quiesce time</td><td>{{.QuiesceTotal}}</td></tr>
 <tr><td>Updates delayed by quiesce</td><td>{{.G.UpdatesDelayedByQuiesce}}</td></tr>
 </table>
-{{if .G.CacheEnabled}}
-<h3>Before-image cache</h3>
-<table border="1" cellpadding="4">
-<tr><th>Counter</th><th>Value</th></tr>
-<tr><td>Entries</td><td>{{.G.Cache.Size}}</td></tr>
-<tr><td>Hits</td><td>{{.G.Cache.Hits}}</td></tr>
-<tr><td>Misses</td><td>{{.G.Cache.Misses}}</td></tr>
-<tr><td>Hit rate</td><td>{{.HitRate}}</td></tr>
-<tr><td>Invalidations</td><td>{{.G.Cache.Invalidations}}</td></tr>
-<tr><td>Evictions</td><td>{{.G.Cache.Evictions}}</td></tr>
-<tr><td>Changelog resyncs</td><td>{{.G.Cache.Resyncs}}</td></tr>
-</table>
-{{else}}
-<p>Before-image cache disabled; every trap fetches from the backend.</p>
-{{end}}
 {{end}}
 {{if .Wires}}
 <h2>LDAP wire path</h2>
@@ -487,7 +472,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		data["G"] = gs
 		data["SearchMean"] = meanStage(gs.SearchNs, gs.Searches)
 		data["FetchMean"] = meanStage(gs.BackendFetchNs, gs.BackendFetches)
-		data["HitRate"] = fmt.Sprintf("%.1f%%", 100*gs.Cache.HitRate())
 		data["QuiesceTotal"] = time.Duration(gs.QuiesceNs).String()
 	}
 	if s.OutboxStats != nil {

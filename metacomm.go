@@ -112,11 +112,6 @@ type Config struct {
 	// embedded device simulators. Real switch administration is slow; the
 	// experiments use this to reproduce that regime (0 = no delay).
 	DeviceLatency time.Duration
-	// BackendConns sizes the connection pools between the gateway and the
-	// backing directory and between the UM and the backing directory
-	// (0 = default pool size). Per-entry update order is preserved by the
-	// UM's shard routing, not by connection order, so pooling is safe.
-	BackendConns int
 	// MaxMessageSize bounds a single LDAP request message on both listeners
 	// (the LTAP gateway and the backing directory server); 0 means
 	// ber.DefaultMaxMessageSize (4 MB). A request declaring a larger length
@@ -131,11 +126,6 @@ type Config struct {
 	// parked goroutines or buffers (Linux only; elsewhere it logs a note
 	// and falls back to goroutine mode).
 	AcceptLoop string
-	// GatewayCache is the capacity of the LTAP gateway's before-image
-	// cache, which is kept coherent by the directory changelog (0 = default
-	// capacity, < 0 disables the cache so every trap refetches its
-	// before-image from the backing server).
-	GatewayCache int
 	// Outbox configures the Update Manager's durable device-update outbox
 	// with per-device circuit breakers: failed (or timed-out) device
 	// applies are journaled and replayed with backoff once the device
@@ -217,8 +207,6 @@ type System struct {
 	remote     *ltap.RemoteAction
 	converters []device.Converter
 	clients    []*ldapclient.Conn
-	pools      []*ldapclient.Pool
-	cache      *ltap.BeforeImageCache
 }
 
 func defaultStr(v, d string) string {
@@ -384,16 +372,13 @@ func Start(cfg Config) (*System, error) {
 		return nil, err
 	}
 
-	// 5. Update Manager over pooled connections to the backing server, so
-	// concurrent shards are not serialized at the directory wire.
-	backing, err := ldapclient.DialPool(s.DirectoryAddrActual, cfg.BackendConns)
-	if err != nil {
-		return nil, err
-	}
-	s.pools = append(s.pools, backing)
+	// 5. The Update Manager writes and the gateway reads through one
+	// in-process client of the DIT: all three share this process, so
+	// neither pays a wire round trip to the directory's own listener.
+	local := ldapserver.NewDITClient(s.DIT)
 	manager, err := um.New(um.Config{
 		Suffix:      suffix,
-		Backing:     backing,
+		Backing:     local,
 		Library:     lib,
 		Shards:      cfg.UMShards,
 		QueueDepth:  cfg.UMQueueDepth,
@@ -416,14 +401,8 @@ func Start(cfg Config) (*System, error) {
 	manager.AddDevice(mpFilter)
 	s.UM = manager
 
-	// 6. LTAP gateway in front of the backing server, over its own
-	// connection pool so proxied reads and before-image fetches from many
-	// client connections proceed in parallel.
-	gwBacking, err := ldapclient.DialPool(s.DirectoryAddrActual, cfg.BackendConns)
-	if err != nil {
-		return nil, err
-	}
-	s.pools = append(s.pools, gwBacking)
+	// 6. LTAP gateway in front of the directory. Its before-images are DIT
+	// reads made under the entry's LTAP lock.
 	var action ltap.Action = manager
 	if defaultStr(string(cfg.Mode), string(ModeGateway)) == string(ModeGateway) {
 		s.actionSrv = ltap.NewActionServer(manager)
@@ -438,16 +417,7 @@ func Start(cfg Config) (*System, error) {
 		s.remote = remote
 		action = remote
 	}
-	s.Gateway = ltap.NewGateway(gwBacking, action)
-	if cfg.GatewayCache >= 0 {
-		s.cache = ltap.NewBeforeImageCache(cfg.GatewayCache)
-		// The backing server is in-process, so the cache can follow the
-		// directory changelog: trap-path before-images come from memory and
-		// stay coherent with every committed update (including device-
-		// originated ones the UM writes back).
-		s.cache.AttachChangelog(s.DIT)
-		s.Gateway.UseCache(s.cache)
-	}
+	s.Gateway = ltap.NewGateway(local, action)
 	s.ltapServer = ldapserver.NewServer(s.Gateway)
 	s.ltapServer.ErrorLog = cfg.Logger
 	s.ltapServer.MaxMessageSize = cfg.MaxMessageSize
@@ -537,8 +507,9 @@ func recordOf(a *directory.Attrs) lexpress.Record {
 }
 
 // WireStats holds wire-path counters for both LDAP listeners: LTAP (the
-// public endpoint) and the backing directory server (which the gateway, the
-// UM, and replication readers hit).
+// public endpoint) and the backing directory server. The gateway and the UM
+// reach the directory in process, so only outside clients (ldapcli,
+// DirectoryClient) show up on the second.
 type WireStats struct {
 	LTAP      ldapserver.WireStats
 	Directory ldapserver.WireStats
@@ -607,12 +578,6 @@ func (s *System) Close() {
 	}
 	for _, c := range s.clients {
 		c.Close()
-	}
-	for _, p := range s.pools {
-		p.Close()
-	}
-	if s.cache != nil {
-		s.cache.Close()
 	}
 	if s.dirServer != nil {
 		s.dirServer.Close()

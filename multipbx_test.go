@@ -93,12 +93,7 @@ func newTwoSwitchStack(t *testing.T) *twoSwitchStack {
 	if err := dit.Add(suffix, attrs); err != nil {
 		t.Fatal(err)
 	}
-	dirSrv := ldapserver.NewServer(ldapserver.NewDITHandler(dit))
-	dirAddr, err := dirSrv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(dirSrv.Close)
+	local := ldapserver.NewDITClient(dit)
 
 	lib, err := lexpress.Compile(twoSwitchMappings)
 	if err != nil {
@@ -136,14 +131,9 @@ func newTwoSwitchStack(t *testing.T) *twoSwitchStack {
 		t.Fatal(err)
 	}
 
-	backing, err := ldapclient.Dial(dirAddr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { backing.Close() })
 	manager, err := um.New(um.Config{
 		Suffix:         suffix,
-		Backing:        backing,
+		Backing:        local,
 		Library:        lib,
 		ClosureMapping: "LDAPClosure2",
 	})
@@ -154,12 +144,7 @@ func newTwoSwitchStack(t *testing.T) *twoSwitchStack {
 	manager.AddDevice(fO)
 	s.manager = manager
 
-	gwBacking, err := ldapclient.Dial(dirAddr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { gwBacking.Close() })
-	gateway := ltap.NewGateway(gwBacking, manager)
+	gateway := ltap.NewGateway(local, manager)
 	ltapSrv := ldapserver.NewServer(gateway)
 	ltapAddr, err := ltapSrv.Start("127.0.0.1:0")
 	if err != nil {

@@ -41,9 +41,8 @@ REV=$(git rev-parse --short HEAD 2>/dev/null || echo dev)
 # ---- E20: active-connection throughput against a separate server process.
 # A separate server process, like a deployment: the load generator measures
 # real sockets, not loopback-in-process shortcuts. WBA is disabled so the
-# run has no port collisions; backend pools are sized so gateway searches
-# are not serialized on the default four connections.
-/tmp/metacommd.bench -quiet -ltap 127.0.0.1:0 -wba "" -backend-conns 32 \
+# run has no port collisions.
+/tmp/metacommd.bench -quiet -ltap 127.0.0.1:0 -wba "" \
 	>/tmp/metacommd.bench.out 2>&1 &
 SRV=$!
 trap 'kill $SRV 2>/dev/null || true' EXIT INT TERM

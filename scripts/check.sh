@@ -8,12 +8,13 @@ cd "$(dirname "$0")/.."
 tmp="${TMPDIR:-/tmp}"
 
 # The engine's ordering/quiesce guarantees, the DIT's copy-on-write search
-# snapshots, the filters' batched converge path, the device stores' fault
+# snapshots, the filters' converge path, the device stores' fault
 # injection under the outbox drainer, the wire path's borrowed-buffer decode,
 # pipelined flushing and epoll reactor, and the replication mesh are
 # concurrency properties; their tests run under the race detector.
 race() {
 	go test -race -count=1 ./internal/directory/... ./internal/um/... ./internal/ltap/... ./internal/filter/... ./internal/device/... ./internal/ber/... ./internal/ldapserver/... ./internal/ldapclient/... ./internal/replica/... ./internal/record/...
+	go test -race -count=1 -run 'TestNoComponentReadsItsOwnDirectoryOverTCP|TestLTAPRefusesModifyDNWithNewSuperior' .
 }
 if [ "${1:-}" = race ]; then
 	race
@@ -38,6 +39,14 @@ fi
 # non-test code, the scripts or the README (letters bracketed as above).
 if git grep -nE 'Compact[I]nterval|StartAuto[C]ompact|ParseSync[M]ode|Journal[S]ync|Journal[B]atch|compact-[i]nterval|journal-[s]ync|journal-[b]atch' -- '*.go' scripts/ README.md ':!*_test.go'; then
 	echo "check.sh: a deleted journal knob is back (see the matches above)" >&2
+	exit 1
+fi
+# One process, one directory: the gateway and the Update Manager call the
+# DIT in process. The loopback pools, their width knob, the before-image
+# cache and the pipelined modify batch must not come back in non-test code,
+# the scripts or the README (letters bracketed as above).
+if git grep -nE 'Backend[C]onns|Gateway[C]ache|BeforeImage[C]ache|Modify[B]atch|backend-[c]onns|gateway-[c]ache' -- '*.go' scripts/ README.md ':!*_test.go'; then
+	echo "check.sh: a deleted loopback path is back (see the matches above)" >&2
 	exit 1
 fi
 # Multi-master replication smoke: a two-node mesh, a write accepted on each

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	metacomm "metacomm"
+	"metacomm/internal/directory"
+	"metacomm/internal/dn"
 	"metacomm/internal/ldap"
 	"metacomm/internal/ldapclient"
 	"metacomm/internal/ldapserver"
@@ -889,11 +891,103 @@ func TestQuiesceDrainsShardedEngine(t *testing.T) {
 	if stats.Errors != 0 {
 		t.Errorf("sync stats = %+v", stats)
 	}
-	// Stop the writers before asserting the backlog is gone: with the
-	// gateway's before-image cache warm, a writer can get a fresh update
-	// admitted the instant the sync unquiesces.
+	// Stop the writers before asserting the backlog is gone: a writer can
+	// get a fresh update admitted the instant the sync unquiesces.
 	stopWriters()
 	waitFor(t, "engine to drain after sync", func() bool {
 		return s.UM.Stats().Pending == 0
 	})
+}
+
+// TestLTAPRefusesModifyDNWithNewSuperior: a move under a new superior is
+// refused at the gateway, as the directory refuses it, instead of being
+// reported as done while the entry is renamed in place.
+func TestLTAPRefusesModifyDNWithNewSuperior(t *testing.T) {
+	s := startSystem(t, metacomm.Config{})
+	for _, e := range []struct {
+		name  string
+		attrs map[string][]string
+	}{
+		{"ou=A,o=Lucent", map[string][]string{"objectClass": {mcschema.ClassOrgUnit}}},
+		{"ou=B,o=Lucent", map[string][]string{"objectClass": {mcschema.ClassOrgUnit}}},
+		{"cn=Mover,ou=A,o=Lucent", map[string][]string{"objectClass": {mcschema.ClassPerson}, "sn": {"Mover"}}},
+	} {
+		if err := s.DIT.Add(dn.MustParse(e.name), directory.AttrsFrom(e.attrs)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	processed := s.UM.Stats().UpdatesProcessed
+	res := client(t, s).Pipeline([]ldap.Op{&ldap.ModifyDNRequest{
+		DN: "cn=Mover,ou=A,o=Lucent", NewRDN: "cn=Moved", DeleteOldRDN: true, NewSuperior: "ou=B,o=Lucent"}})
+	if !ldap.IsCode(res[0].Err, ldap.ResultUnwillingToPerform) {
+		t.Errorf("modifyDN with newSuperior = %v, want unwillingToPerform", res[0].Err)
+	}
+	for name, want := range map[string]bool{
+		"cn=Mover,ou=A,o=Lucent": true, "cn=Moved,ou=A,o=Lucent": false, "cn=Moved,ou=B,o=Lucent": false,
+	} {
+		if _, err := s.DIT.Get(dn.MustParse(name)); (err == nil) != want {
+			t.Errorf("%s exists = %v, want %v", name, err == nil, want)
+		}
+	}
+	if got := s.UM.Stats().UpdatesProcessed; got != processed {
+		t.Errorf("the Update Manager processed %d updates for a refused request", got-processed)
+	}
+}
+
+// TestNoComponentReadsItsOwnDirectoryOverTCP: the gateway and the Update
+// Manager reach the directory in process, so on a default system the
+// directory's listener reads nothing across LTAP searches and writes, a
+// device-originated update and a synchronization pass.
+func TestNoComponentReadsItsOwnDirectoryOverTCP(t *testing.T) {
+	s := startSystem(t, metacomm.Config{})
+	c := client(t, s)
+	if err := c.Add(johnDN, johnDoeAttrs()); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Modify(johnDN, []ldap.Change{{Op: ldap.ModReplace,
+		Attribute: ldap.Attribute{Type: "roomNumber", Values: []string{"5A-1"}}}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Search(&ldap.SearchRequest{BaseDN: "o=Lucent", Scope: ldap.ScopeWholeSubtree,
+		Filter: ldap.Eq("objectClass", mcschema.ClassPerson)}); err != nil {
+		t.Fatal(err)
+	}
+	admin, err := s.PBXAdmin("craft-terminal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer admin.Close()
+	rec := lexpress.NewRecord()
+	rec.Set("Extension", "2-7000")
+	rec.Set("Name", "Pat Smith")
+	rec.Set("Room", "3B-200")
+	if _, err := admin.Add(rec); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the device-originated person in the directory", func() bool {
+		_, err := s.DIT.Get(dn.MustParse("cn=Pat Smith,o=Lucent"))
+		return err == nil
+	})
+	if _, err := s.UM.SynchronizeAll(); err != nil {
+		t.Fatal(err)
+	}
+	ws := s.WireStats()
+	if ws.Directory.MessagesRead != 0 {
+		t.Errorf("directory listener read %d messages", ws.Directory.MessagesRead)
+	}
+	if ws.LTAP.MessagesRead == 0 {
+		t.Error("LTAP listener read no messages; the counters are not live")
+	}
+	// An outside client still reaches the directory's own listener.
+	direct, err := s.DirectoryClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Close()
+	if _, err := direct.Search(&ldap.SearchRequest{BaseDN: johnDN, Scope: ldap.ScopeBaseObject}); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.WireStats().Directory.MessagesRead; got == 0 {
+		t.Error("directory listener counted no message from an outside client")
+	}
 }
