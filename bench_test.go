@@ -65,7 +65,7 @@ func provision(b *testing.B, c *ldapclient.Conn, n int) []string {
 }
 
 // BenchmarkE1LDAPUpdatePath measures the full LDAP write path — LTAP trap,
-// entry lock, persistent action connection, UM serialization, closure,
+// entry lock, in-process call into the UM, UM serialization, closure,
 // backing-directory write, fanout to both devices — against the baseline of
 // touching the device directly through its legacy protocol.
 func BenchmarkE1LDAPUpdatePath(b *testing.B) {
@@ -395,27 +395,6 @@ func BenchmarkE8Partition(b *testing.B) {
 		if err != nil || uo == nil || uo.Op != lexpress.OpAdd {
 			b.Fatalf("other route = %v, %v", uo, err)
 		}
-	}
-}
-
-// BenchmarkE9GatewayVsLibrary ablates §5.5's deployment choice: LTAP as a
-// separate gateway (persistent TCP action connection to the UM) versus LTAP
-// bound into the UM process.
-func BenchmarkE9GatewayVsLibrary(b *testing.B) {
-	for _, mode := range []metacomm.Mode{metacomm.ModeGateway, metacomm.ModeLibrary} {
-		b.Run(string(mode), func(b *testing.B) {
-			s := benchSystem(b, metacomm.Config{Mode: mode})
-			c := benchClient(b, s)
-			dns := provision(b, c, 1)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				err := c.Modify(dns[0], []ldap.Change{{Op: ldap.ModReplace,
-					Attribute: ldap.Attribute{Type: "roomNumber", Values: []string{fmt.Sprintf("M-%d", i)}}}})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -48,7 +48,6 @@ func main() {
 		pbxAddr  = flag.String("pbx", "127.0.0.1:0", "PBX simulator listen address")
 		mpAddr   = flag.String("mp", "127.0.0.1:0", "messaging platform listen address")
 		wbaAddr  = flag.String("wba", "127.0.0.1:8080", "web administration listen address (empty disables)")
-		mode     = flag.String("mode", "gateway", "LTAP coupling: gateway or library")
 		umShards = flag.Int("um-shards", 0, "Update Manager shard count (0 = default)")
 		umQueue  = flag.Int("um-queue-depth", 0, "Update Manager per-shard queue capacity (0 = default)")
 		syncWk   = flag.Int("sync-workers", 0, "synchronization reconciliation worker pool size (0 = default)")
@@ -93,7 +92,6 @@ func main() {
 		LTAPAddr:       *ltap,
 		PBXAddr:        *pbxAddr,
 		MPAddr:         *mpAddr,
-		Mode:           metacomm.Mode(*mode),
 		UMShards:       *umShards,
 		UMQueueDepth:   *umQueue,
 		SyncWorkers:    *syncWk,

@@ -62,7 +62,8 @@ mapping PagerClosure source "ldap" target "ldap" {
 
 func main() {
 	// Assemble a minimal meta-directory: directory, LTAP, UM. The gateway
-	// and the UM share one in-process client of the directory.
+	// and the UM share one in-process client of the directory and call each
+	// other in process; the LTAP listener serves outside clients only.
 	suffix := dn.MustParse("o=Lucent")
 	dit := directory.New(mcschema.New())
 	attrs := directory.NewAttrs()
@@ -97,18 +98,13 @@ func main() {
 	manager.AddDevice(pagerFilter)
 
 	gateway := ltap.NewGateway(local, manager)
+	manager.SetGateway(gateway)
 	ltapSrv := ldapserver.NewServer(gateway)
 	ltapAddr, err := ltapSrv.Start("127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer ltapSrv.Close()
-	umLTAP, err := ldapclient.Dial(ltapAddr.String())
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer umLTAP.Close()
-	manager.SetLTAP(umLTAP)
 	if err := manager.Start(); err != nil {
 		log.Fatal(err)
 	}

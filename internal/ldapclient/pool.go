@@ -8,7 +8,7 @@ import (
 // server. A single Conn serializes requests on the wire (c.mu), so
 // concurrent callers queue behind each other; the pool lets min(callers,
 // size) operations proceed in parallel. MetaComm's own components reach
-// their directory in process (ldapserver.DITClient); the benchmark keeps a
+// their directory in process (ldapserver.LocalClient); the benchmark keeps a
 // Pool to measure what a checkout costs (ldapclient.pool_wait_us).
 //
 // Each operation checks a connection out of the free list for its full

@@ -328,7 +328,7 @@ func (r *reactor) register(nc net.Conn) {
 		r.srv.logf("ldapserver: %s: reactor register: %v", ra, err)
 		return
 	}
-	c := &econn{fd: fd, file: f, conn: &Conn{RemoteAddr: ra, Data: map[string]any{}}}
+	c := &econn{fd: fd, file: f, conn: &Conn{RemoteAddr: ra}}
 	c.write = r.responseWriter(c)
 	r.mu.Lock()
 	if r.closed {

@@ -25,9 +25,6 @@ type Conn struct {
 	BoundDN string
 	// RemoteAddr is the peer address, for logging.
 	RemoteAddr string
-	// Data lets gateway handlers stash per-connection state (e.g. LTAP
-	// persistent-connection mode).
-	Data map[string]any
 }
 
 // Handler responds to LDAP operations. Implementations must be safe for
@@ -262,7 +259,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		delete(s.conns, nc)
 		s.mu.Unlock()
 	}()
-	conn := &Conn{RemoteAddr: nc.RemoteAddr().String(), Data: map[string]any{}}
+	conn := &Conn{RemoteAddr: nc.RemoteAddr().String()}
 	// The reader owns this connection's decode storage: a buffered reader
 	// (headers parse without byte-at-a-time conn reads), a reused message
 	// buffer, and an element arena — steady-state BER decode allocates

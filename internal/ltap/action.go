@@ -12,11 +12,16 @@ import (
 	"metacomm/internal/ldap"
 )
 
-// This file implements gateway mode's wire between LTAP and the trigger
-// action server: newline-delimited JSON over a persistent TCP connection.
-// The original LTAP allowed a single update per action connection; MetaComm
-// required persistent connections so a synchronization request could flow
-// as an ordered sequence of updates (paper §5.1).
+// This file implements the paper's wire between a gateway process and the
+// trigger action server: newline-delimited JSON over a persistent TCP
+// connection. The original LTAP allowed a single update per action
+// connection; MetaComm required persistent connections so a synchronization
+// request could flow as an ordered sequence of updates (paper §5.1).
+//
+// A MetaComm node does not use it: its gateway and Update Manager share a
+// process and call each other directly. It remains as the reference the
+// benchmark times (ltap.action_rtt_us — what the hop would cost a gateway
+// on another host).
 //
 // The connection is multiplexed: requests are pipelined and replies are
 // matched by event ID, so updates to distinct entries overlap end to end

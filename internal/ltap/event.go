@@ -65,8 +65,8 @@ func (r Result) LDAPResult() ldap.Result {
 }
 
 // Action is the trigger action server interface. In MetaComm the Update
-// Manager implements it; in library mode it is called in-process, in
-// gateway mode over a persistent connection.
+// Manager implements it and the gateway calls it in process; RemoteAction
+// carries it over a persistent connection.
 type Action interface {
 	// OnUpdate is invoked with the target entry locked. The returned
 	// result is relayed to the LDAP client; the action is responsible for

@@ -21,7 +21,7 @@ const (
 // Backend abstracts the real LDAP server behind the gateway. It matches the
 // subset of ldapclient.Conn the gateway needs, so the gateway can run over a
 // network connection to a separate server (the paper's deployment, §5.5) or
-// in process on the DIT it shares a process with (ldapserver.DITClient).
+// in process on the DIT it shares a process with (ldapserver.NewDITClient).
 type Backend interface {
 	Bind(name, password string) error
 	Search(req *ldap.SearchRequest) ([]*ldapclient.Entry, error)
@@ -112,14 +112,6 @@ func (g *Gateway) Unquiesce() { g.locks.endQuiesce() }
 
 // Quiesced reports quiesce state.
 func (g *Gateway) Quiesced() bool { return g.locks.quiesced() }
-
-// LockEntry acquires the per-entry LTAP lock directly (used by the UM for
-// update sequences that originate at devices). Release with the returned
-// function.
-func (g *Gateway) LockEntry(names ...dn.DN) func() {
-	keys := g.locks.lockEntries(names...)
-	return func() { g.locks.unlockEntries(keys) }
-}
 
 // Bind forwards authentication to the backing server.
 func (g *Gateway) Bind(c *ldapserver.Conn, req *ldap.BindRequest) ldap.Result {

@@ -152,12 +152,12 @@ func (u *UM) SynchronizeAll() (map[string]SyncStats, error) {
 // quiesceForSync enters the quiet state a synchronization pass requires:
 // the gateway quiesce stops new updates at LTAP; the engine drain barrier
 // additionally flushes every shard queue, so the pass observes a quiet
-// system even when no gateway quiesce is configured. It returns whether the
-// gateway quiesce was applied and a release function undoing both layers.
+// system even when no gateway is installed. It returns whether the gateway
+// quiesce was applied and a release function undoing both layers.
 func (u *UM) quiesceForSync() (gatewayQuiesced bool, release func(), err error) {
 	noop := func() {}
-	if u.cfg.Quiesce != nil {
-		if !u.cfg.Quiesce() {
+	if u.gateway != nil {
+		if !u.gateway.Quiesce() {
 			return false, noop, fmt.Errorf("um: gateway already quiesced")
 		}
 		gatewayQuiesced = true
@@ -168,7 +168,7 @@ func (u *UM) quiesceForSync() (gatewayQuiesced bool, release func(), err error) 
 			u.Resume()
 		}
 		if gatewayQuiesced {
-			u.cfg.Unquiesce()
+			u.gateway.Unquiesce()
 		}
 	}, nil
 }

@@ -41,6 +41,7 @@ import (
 	"metacomm/internal/dn"
 	"metacomm/internal/filter"
 	"metacomm/internal/ldap"
+	"metacomm/internal/ldapserver"
 	"metacomm/internal/lexpress"
 	"metacomm/internal/ltap"
 	"metacomm/internal/mcschema"
@@ -56,14 +57,6 @@ type Config struct {
 	// Backing talks directly to the backing LDAP server (bypassing LTAP —
 	// the UM's own writes must not re-trigger).
 	Backing filter.LDAPClient
-	// LTAP talks to the LTAP gateway; the DDU path applies device-
-	// originated updates through it so they are locked and serialized.
-	LTAP filter.LDAPClient
-	// Quiesce/Unquiesce control the gateway's quiesce facility during
-	// synchronization. Optional; synchronization proceeds unisolated
-	// without them.
-	Quiesce   func() bool
-	Unquiesce func()
 	// Library is the compiled lexpress mapping library.
 	Library *lexpress.Library
 	// ClosureMapping names the intra-directory closure unit (default
@@ -154,8 +147,11 @@ type UM struct {
 	closure *lexpress.Mapping // may be nil
 
 	filters []*filter.DeviceFilter
-	// ldapLTAP applies device-originated updates through LTAP; ldapDirect
-	// applies coordinator/sync updates to the backing server.
+	// gateway is the LTAP gateway in front of the directory (nil until
+	// SetGateway): ldapLTAP applies device-originated updates through it and
+	// synchronization quiesces it. ldapDirect applies coordinator/sync
+	// updates to the backing server.
+	gateway    *ltap.Gateway
 	ldapLTAP   *filter.LDAPFilter
 	ldapDirect *filter.LDAPFilter
 
@@ -258,25 +254,23 @@ func New(cfg Config) (*UM, error) {
 	if cfg.Outbox.Enabled() {
 		u.outbox = newOutbox(u, cfg.Outbox)
 	}
-	if cfg.LTAP != nil {
-		u.ldapLTAP = &filter.LDAPFilter{
-			Client: cfg.LTAP, Suffix: cfg.Suffix, PeopleBase: cfg.PeopleBase, RDNAttr: mcschema.AttrCN,
-		}
-	}
 	return u, nil
 }
 
 // AddDevice registers a device filter. Must be called before Start.
 func (u *UM) AddDevice(f *filter.DeviceFilter) { u.filters = append(u.filters, f) }
 
-// SetLTAP installs the client used to push device-originated updates
-// through the LTAP gateway. The gateway needs the UM as its action and the
-// UM needs a connection to the gateway, so this is set after the gateway is
-// listening and before Start.
-func (u *UM) SetLTAP(c filter.LDAPClient) {
-	u.cfg.LTAP = c
+// SetGateway installs the LTAP gateway in front of the directory, which the
+// UM calls in process: device-originated updates are applied through it, so
+// they are trapped, locked and serialized like any LDAP update (§4.4), and
+// synchronization quiesces it (§5.1). The gateway needs the UM as its
+// action, so this is called after ltap.NewGateway and before Start. Without
+// a gateway there is no DDU path and synchronization runs under the engine
+// drain barrier alone.
+func (u *UM) SetGateway(g *ltap.Gateway) {
+	u.gateway = g
 	u.ldapLTAP = &filter.LDAPFilter{
-		Client: c, Suffix: u.cfg.Suffix, PeopleBase: u.cfg.PeopleBase, RDNAttr: mcschema.AttrCN,
+		Client: ldapserver.NewLocalClient(g), Suffix: u.cfg.Suffix, PeopleBase: u.cfg.PeopleBase, RDNAttr: mcschema.AttrCN,
 	}
 }
 
@@ -367,8 +361,8 @@ func (u *UM) Start() error {
 		}(q)
 	}
 	for _, f := range u.filters {
-		if u.ldapLTAP == nil {
-			break // no DDU path without an LTAP connection
+		if u.gateway == nil {
+			break // no DDU path without a gateway
 		}
 		u.wg.Add(1)
 		go func(f *filter.DeviceFilter) {
@@ -377,12 +371,6 @@ func (u *UM) Start() error {
 		}(f)
 	}
 	return nil
-}
-
-// SetQuiesce wires the gateway quiesce facility used to isolate
-// synchronization passes.
-func (u *UM) SetQuiesce(quiesce func() bool, unquiesce func()) {
-	u.cfg.Quiesce, u.cfg.Unquiesce = quiesce, unquiesce
 }
 
 // Stop shuts the UM down. It is idempotent and safe to call on a UM that

@@ -180,13 +180,9 @@ func TestErrorContainerVisibleUnderSuffix(t *testing.T) {
 
 func TestSynchronizeAllQuiescesOnce(t *testing.T) {
 	s := startSystem(t)
-	// Wrap the gateway quiesce with counters: reconciling every device must
-	// cycle the system through quiesce exactly once, not once per device.
-	var begins, ends int
-	s.UM.SetQuiesce(
-		func() bool { begins++; return s.Gateway.Quiesce() },
-		func() { ends++; s.Gateway.Unquiesce() },
-	)
+	// Reconciling every device must cycle the gateway through quiesce
+	// exactly once, not once per device.
+	before := s.Gateway.Stats().Quiesces
 	stats, err := s.UM.SynchronizeAll()
 	if err != nil {
 		t.Fatal(err)
@@ -199,8 +195,8 @@ func TestSynchronizeAllQuiescesOnce(t *testing.T) {
 			t.Errorf("%s: quiesce not applied", dev)
 		}
 	}
-	if begins != 1 || ends != 1 {
-		t.Errorf("quiesce begin/end = %d/%d, want 1/1", begins, ends)
+	if n := s.Gateway.Stats().Quiesces - before; n != 1 {
+		t.Errorf("gateway quiesced %d times, want 1", n)
 	}
 	if s.Gateway.Quiesced() {
 		t.Error("gateway left quiesced")

@@ -54,21 +54,6 @@ import (
 // um.OutboxConfig for the fields).
 type OutboxConfig = um.OutboxConfig
 
-// Mode selects how LTAP reaches the Update Manager (paper §5.5).
-type Mode string
-
-// LTAP coupling modes.
-const (
-	// ModeGateway runs LTAP as a gateway process: trigger events travel to
-	// the UM over a persistent TCP connection. This is how MetaComm
-	// deployed (§5.5): LTAP and the UM can live on separate machines and
-	// be upgraded independently, and the UM machine does no read work.
-	ModeGateway Mode = "gateway"
-	// ModeLibrary binds LTAP into the UM process: events are in-process
-	// calls. Lower update latency, but couples the components.
-	ModeLibrary Mode = "library"
-)
-
 // Accept-loop strategies for Config.AcceptLoop (see ldapserver.Server).
 const (
 	AcceptLoopGoroutine = ldapserver.AcceptLoopGoroutine
@@ -80,16 +65,12 @@ const (
 type Config struct {
 	// Suffix is the directory suffix (default "o=Lucent").
 	Suffix string
-	// DirectoryAddr / LTAPAddr / ActionAddr are listen addresses
-	// (default 127.0.0.1:0).
+	// DirectoryAddr / LTAPAddr are listen addresses (default 127.0.0.1:0).
 	DirectoryAddr string
 	LTAPAddr      string
-	ActionAddr    string
 	// PBXAddr / MPAddr are device listen addresses (default 127.0.0.1:0).
 	PBXAddr string
 	MPAddr  string
-	// Mode selects gateway (default) or library LTAP coupling.
-	Mode Mode
 	// UMShards is the Update Manager's shard count: updates are routed to
 	// shards by entry, preserving per-entry order while distinct entries
 	// proceed in parallel (0 = um.DefaultShards).
@@ -116,7 +97,9 @@ type Config struct {
 	// (the LTAP gateway and the backing directory server); 0 means
 	// ber.DefaultMaxMessageSize (4 MB). A request declaring a larger length
 	// is refused with a protocolError unsolicited notice and the connection
-	// is closed, before any content is read or allocated.
+	// is closed, before any content is read or allocated. The bound is for
+	// outside clients: the node's own device-originated updates reach the
+	// gateway in process, whatever their size.
 	MaxMessageSize int
 	// AcceptLoop selects the connection-serving strategy for both LDAP
 	// listeners (the LTAP gateway and the backing directory server):
@@ -203,10 +186,7 @@ type System struct {
 
 	dirServer  *ldapserver.Server
 	ltapServer *ldapserver.Server
-	actionSrv  *ltap.ActionServer
-	remote     *ltap.RemoteAction
 	converters []device.Converter
-	clients    []*ldapclient.Conn
 }
 
 func defaultStr(v, d string) string {
@@ -402,22 +382,12 @@ func Start(cfg Config) (*System, error) {
 	s.UM = manager
 
 	// 6. LTAP gateway in front of the directory. Its before-images are DIT
-	// reads made under the entry's LTAP lock.
-	var action ltap.Action = manager
-	if defaultStr(string(cfg.Mode), string(ModeGateway)) == string(ModeGateway) {
-		s.actionSrv = ltap.NewActionServer(manager)
-		actionAddr, err := s.actionSrv.Start(defaultStr(cfg.ActionAddr, "127.0.0.1:0"))
-		if err != nil {
-			return nil, fmt.Errorf("metacomm: action listener: %w", err)
-		}
-		remote, err := ltap.DialAction(actionAddr.String())
-		if err != nil {
-			return nil, err
-		}
-		s.remote = remote
-		action = remote
-	}
-	s.Gateway = ltap.NewGateway(local, action)
+	// reads made under the entry's LTAP lock, and its trigger action is the
+	// UM, called in process. The UM in turn pushes device-originated
+	// updates through the gateway and quiesces it for synchronization, also
+	// in process: the gateway's listener serves outside clients only.
+	s.Gateway = ltap.NewGateway(local, manager)
+	manager.SetGateway(s.Gateway)
 	s.ltapServer = ldapserver.NewServer(s.Gateway)
 	s.ltapServer.ErrorLog = cfg.Logger
 	s.ltapServer.MaxMessageSize = cfg.MaxMessageSize
@@ -438,36 +408,6 @@ func Start(cfg Config) (*System, error) {
 		})
 	}
 
-	// 7. The UM pushes device-originated updates through LTAP, and drives
-	// quiesce for synchronization.
-	umLTAP, err := ldapclient.Dial(s.LTAPAddrActual)
-	if err != nil {
-		return nil, err
-	}
-	s.clients = append(s.clients, umLTAP)
-	manager.SetLTAP(umLTAP)
-	// In gateway mode the UM drives quiesce the way any remote process
-	// would — via LTAP's extended operations. The control channel is a
-	// DEDICATED connection: sharing the DDU-path connection would deadlock
-	// (a device update blocked by quiesce would hold the connection the
-	// unquiesce needs). In library mode it calls the gateway directly.
-	if s.actionSrv != nil {
-		quiesceConn, err := ldapclient.Dial(s.LTAPAddrActual)
-		if err != nil {
-			return nil, err
-		}
-		s.clients = append(s.clients, quiesceConn)
-		manager.SetQuiesce(
-			func() bool {
-				_, err := quiesceConn.Extended(ltap.OIDQuiesceBegin, nil)
-				return err == nil
-			},
-			func() { _, _ = quiesceConn.Extended(ltap.OIDQuiesceEnd, nil) },
-		)
-	} else {
-		manager.SetQuiesce(s.Gateway.Quiesce, s.Gateway.Unquiesce)
-	}
-
 	if err := manager.Start(); err != nil {
 		return nil, err
 	}
@@ -477,7 +417,7 @@ func Start(cfg Config) (*System, error) {
 		}
 	}
 
-	// 8. Replication starts LAST, once the whole local stack can absorb
+	// 7. Replication starts LAST, once the whole local stack can absorb
 	// remote writes: each peer write that wins LWW in the DIT is fanned out
 	// to this node's device filters by the UM — without the LTAP trip (no
 	// re-stamping loop) and without the generated-info write-back (the
@@ -570,15 +510,6 @@ func (s *System) Close() {
 	if s.ltapServer != nil {
 		s.ltapServer.Close()
 	}
-	if s.remote != nil {
-		s.remote.Close()
-	}
-	if s.actionSrv != nil {
-		s.actionSrv.Close()
-	}
-	for _, c := range s.clients {
-		c.Close()
-	}
 	if s.dirServer != nil {
 		s.dirServer.Close()
 	}
@@ -595,17 +526,13 @@ func (s *System) Close() {
 	}
 }
 
-// Seed adds a person entry through the public LDAP path (convenience for
-// examples and tests).
+// Seed adds a person entry through the LTAP gateway, in process, so it is
+// trapped and provisioned like any LDAP add (convenience for examples and
+// tests).
 func (s *System) Seed(dnStr string, attrs map[string][]string) error {
-	c, err := s.Client()
-	if err != nil {
-		return err
-	}
-	defer c.Close()
 	var la []ldap.Attribute
 	for k, v := range attrs {
 		la = append(la, ldap.Attribute{Type: k, Values: v})
 	}
-	return c.Add(dnStr, la)
+	return ldapserver.NewLocalClient(s.Gateway).Add(dnStr, la)
 }

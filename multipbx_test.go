@@ -145,19 +145,13 @@ func newTwoSwitchStack(t *testing.T) *twoSwitchStack {
 	s.manager = manager
 
 	gateway := ltap.NewGateway(local, manager)
+	manager.SetGateway(gateway)
 	ltapSrv := ldapserver.NewServer(gateway)
 	ltapAddr, err := ltapSrv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(ltapSrv.Close)
-
-	umLTAP, err := ldapclient.Dial(ltapAddr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { umLTAP.Close() })
-	manager.SetLTAP(umLTAP)
 	if err := manager.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ tmp="${TMPDIR:-/tmp}"
 # concurrency properties; their tests run under the race detector.
 race() {
 	go test -race -count=1 ./internal/directory/... ./internal/um/... ./internal/ltap/... ./internal/filter/... ./internal/device/... ./internal/ber/... ./internal/ldapserver/... ./internal/ldapclient/... ./internal/replica/... ./internal/record/...
-	go test -race -count=1 -run 'TestNoComponentReadsItsOwnDirectoryOverTCP|TestLTAPRefusesModifyDNWithNewSuperior' .
+	go test -race -count=1 -run 'TestNoComponentReadsItsOwnDirectoryOverTCP|TestLTAPRefusesModifyDNWithNewSuperior|TestUMCallsTheGatewayInProcess|TestDeviceUpdateLargerThanMaxMessageSize|TestQuiesceDrainsShardedEngine' .
 }
 if [ "${1:-}" = race ]; then
 	race
@@ -47,6 +47,15 @@ fi
 # the scripts or the README (letters bracketed as above).
 if git grep -nE 'Backend[C]onns|Gateway[C]ache|BeforeImage[C]ache|Modify[B]atch|backend-[c]onns|gateway-[c]ache' -- '*.go' scripts/ README.md ':!*_test.go'; then
 	echo "check.sh: a deleted loopback path is back (see the matches above)" >&2
+	exit 1
+fi
+# No loopback inside a node: the gateway calls the Update Manager and the
+# Update Manager calls the gateway in process. The coupling mode, the action
+# listener address, the -mode flag and the UM's setters for an LTAP
+# connection and remote quiesce must not come back in non-test code, the
+# scripts or the README (letters bracketed as above).
+if git grep -nE 'Mode[G]ateway|Mode[L]ibrary|Action[A]ddr|Set[L]TAP\(|Set[Q]uiesce\(|flag\.String\("[m]ode"|metacommd -[m]ode' -- '*.go' scripts/ README.md ':!*_test.go'; then
+	echo "check.sh: a deleted in-node wire is back (see the matches above)" >&2
 	exit 1
 fi
 # Multi-master replication smoke: a two-node mesh, a write accepted on each

@@ -631,19 +631,6 @@ func TestDeviceOutageAndRepair(t *testing.T) {
 	}
 }
 
-// TestLibraryModeWorks runs the whole stack with LTAP bound in-process
-// (§5.5's alternative coupling).
-func TestLibraryModeWorks(t *testing.T) {
-	s := startSystem(t, metacomm.Config{Mode: metacomm.ModeLibrary})
-	c := client(t, s)
-	if err := c.Add(johnDN, johnDoeAttrs()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.PBX.Store.Get("2-9000"); err != nil {
-		t.Errorf("station missing in library mode: %v", err)
-	}
-}
-
 // TestConcurrentUpdatesAcrossEntries drives parallel clients at different
 // entries to exercise LTAP's per-entry locking under load.
 func TestConcurrentUpdatesAcrossEntries(t *testing.T) {
@@ -886,7 +873,7 @@ func TestQuiesceDrainsShardedEngine(t *testing.T) {
 		t.Fatalf("synchronize under load: %v", err)
 	}
 	if !stats.QuiesceApplied {
-		t.Error("gateway quiesce not applied in gateway mode")
+		t.Error("gateway quiesce not applied")
 	}
 	if stats.Errors != 0 {
 		t.Errorf("sync stats = %+v", stats)
@@ -989,5 +976,74 @@ func TestNoComponentReadsItsOwnDirectoryOverTCP(t *testing.T) {
 	}
 	if got := s.WireStats().Directory.MessagesRead; got == 0 {
 		t.Error("directory listener counted no message from an outside client")
+	}
+}
+
+// TestUMCallsTheGatewayInProcess: the Update Manager pushes a
+// device-originated update through the gateway and quiesces the gateway for
+// synchronization without a connection to the gateway's listener, so on a
+// system no outside client has touched, a DDU and a synchronization pass both
+// go through the gateway while its listener reads nothing.
+func TestUMCallsTheGatewayInProcess(t *testing.T) {
+	s := startSystem(t, metacomm.Config{})
+	admin, err := s.PBXAdmin("craft-terminal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer admin.Close()
+	rec := lexpress.NewRecord()
+	rec.Set("Extension", "2-7000")
+	rec.Set("Name", "Pat Smith")
+	if _, err := admin.Add(rec); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the device-originated person in the directory", func() bool {
+		_, err := s.DIT.Get(dn.MustParse("cn=Pat Smith,o=Lucent"))
+		return err == nil
+	})
+	if s.Gateway.Stats().Updates == 0 {
+		t.Error("the device-originated update was not trapped by the gateway")
+	}
+	stats, err := s.UM.SynchronizeAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for dev, st := range stats {
+		if !st.QuiesceApplied {
+			t.Errorf("%s: synchronization did not quiesce the gateway", dev)
+		}
+	}
+	if got := s.WireStats().LTAP.MessagesRead; got != 0 {
+		t.Errorf("LTAP listener read %d messages from inside the node", got)
+	}
+}
+
+// TestDeviceUpdateLargerThanMaxMessageSize: MaxMessageSize bounds what
+// outside clients may send the listeners; it does not apply to a change an
+// administrator already committed at a device. A DDU whose LDAP form is
+// larger than the bound reaches the directory, and so does the next one.
+func TestDeviceUpdateLargerThanMaxMessageSize(t *testing.T) {
+	s := startSystem(t, metacomm.Config{MaxMessageSize: 1024})
+	admin, err := s.PBXAdmin("craft-terminal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer admin.Close()
+	big := strings.Repeat("R", 2048)
+	for _, p := range []struct{ ext, name, room string }{
+		{"2-7001", "Big Room", big},
+		{"2-7002", "Small Room", "1A-1"},
+	} {
+		rec := lexpress.NewRecord()
+		rec.Set("Extension", p.ext)
+		rec.Set("Name", p.name)
+		rec.Set("Room", p.room)
+		if _, err := admin.Add(rec); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, p.name+" in the directory", func() bool {
+			e, err := s.DIT.Get(dn.MustParse("cn=" + p.name + ",o=Lucent"))
+			return err == nil && e.Attrs.First("roomNumber") == p.room
+		})
 	}
 }
