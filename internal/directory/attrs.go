@@ -217,6 +217,15 @@ func (a *Attrs) EachSorted(f func(attr string, values []string)) {
 	}
 }
 
+// EachKeyed is EachSorted that also passes each attribute's interned
+// lowered key, for callers that index by it.
+func (a *Attrs) EachKeyed(f func(key, attr string, values []string)) {
+	v := a.sorted()
+	for _, fi := range v.order {
+		f(a.fields[fi].Key, a.fields[fi].Display, a.fields[fi].Vals)
+	}
+}
+
 // Len returns the number of distinct attribute types.
 func (a *Attrs) Len() int { return len(a.fields) }
 

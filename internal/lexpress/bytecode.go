@@ -104,9 +104,15 @@ type instr struct {
 // program is a compiled code unit with its pools. Programs are immutable
 // after compilation and safe for concurrent execution.
 type program struct {
-	code     []instr
-	consts   []string
+	code []instr
+	// consts holds each constant as the scalar value opPushConst pushes;
+	// values on the VM stack are never mutated, so one copy serves every
+	// run.
+	consts []value
+	// attrs and keys are the attribute pool: attrs[i] is the name as the
+	// mapping spells it, keys[i] its canonical record key.
 	attrs    []string
+	keys     []string
 	patterns []*Pattern
 	tables   []*tableDef
 }
@@ -118,7 +124,7 @@ func (p *program) Disassemble() string {
 		fmt.Fprintf(&b, "%4d  %-10s", i, opNames[in.Op])
 		switch in.Op {
 		case opPushConst:
-			fmt.Fprintf(&b, "%q", p.consts[in.A])
+			fmt.Fprintf(&b, "%q", p.consts[in.A][0])
 		case opLoad, opStore, opPresent:
 			fmt.Fprintf(&b, "%s", p.attrs[in.A])
 		case opStoreN:

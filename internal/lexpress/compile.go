@@ -32,11 +32,14 @@ func (c *compiler) constant(s string) int {
 		return i
 	}
 	i := len(c.prog.consts)
-	c.prog.consts = append(c.prog.consts, s)
+	c.prog.consts = append(c.prog.consts, scalar(s))
 	c.constIdx[s] = i
 	return i
 }
 
+// attr interns an attribute name: the pool keeps its first spelling for
+// display and its canonical key, which the VM uses to index records
+// directly.
 func (c *compiler) attr(name string) int {
 	k := canon(name)
 	if i, ok := c.attrIdx[k]; ok {
@@ -44,6 +47,7 @@ func (c *compiler) attr(name string) int {
 	}
 	i := len(c.prog.attrs)
 	c.prog.attrs = append(c.prog.attrs, name)
+	c.prog.keys = append(c.prog.keys, k)
 	c.attrIdx[k] = i
 	return i
 }

@@ -22,6 +22,11 @@ type Mapping struct {
 	originator     string
 	owned          []string
 	rules          []closureRule
+
+	// Canonical record keys of keyDst and originator, and the number of
+	// attributes the body can store (an image's initial size).
+	keyDstKey, originatorKey string
+	stores                   int
 }
 
 // closureRule is one compiled derive statement.
@@ -33,11 +38,11 @@ type closureRule struct {
 }
 
 // mayFire evaluates the rule's guard against rec.
-func (r *closureRule) mayFire(rec Record) (bool, error) {
+func (r *closureRule) mayFire(m *vm, rec Record) (bool, error) {
 	if r.guard == nil {
 		return true, nil
 	}
-	return runCond(r.guard, rec)
+	return m.runCond(r.guard, rec)
 }
 
 // Library is a set of compiled mappings indexed by name. Descriptions for
@@ -128,6 +133,9 @@ func compileMapping(ast *mappingAST) (*Mapping, error) {
 		keyDst:     ast.KeyDst,
 		originator: ast.Originator,
 		owned:      append([]string(nil), ast.Owns...),
+
+		keyDstKey:     canon(ast.KeyDst),
+		originatorKey: canon(ast.Originator),
 	}
 	c := newCompiler(ast)
 	body, err := c.compileStmts(ast.Stmts)
@@ -135,6 +143,7 @@ func compileMapping(ast *mappingAST) (*Mapping, error) {
 		return nil, fmt.Errorf("lexpress: mapping %q: %v", ast.Name, err)
 	}
 	m.body = body
+	m.stores = len(m.MappedAttrs())
 	if ast.Partition != nil {
 		p, err := compileCondProgram(ast, ast.Partition)
 		if err != nil {
@@ -201,13 +210,17 @@ func (m *Mapping) MappedAttrs() []string {
 // body runs first (ordered, first-mapping-wins), then the derive rules fill
 // any still-unset target attributes to fixpoint.
 func (m *Mapping) Image(src Record) (Record, error) {
+	machine := newVM()
+	return m.image(&machine, src)
+}
+
+func (m *Mapping) image(machine *vm, src Record) (Record, error) {
 	if src == nil {
 		return nil, nil
 	}
-	out := NewRecord()
-	assigned := map[string]bool{}
-	machine := &vm{}
-	if err := machine.run(m.body, src, out, assigned); err != nil {
+	out := make(Record, m.stores+len(m.rules))
+	machine.stack = machine.stack[:0]
+	if err := machine.run(m.body, src, out); err != nil {
 		return nil, err
 	}
 	// Full-image closure: fire each rule at most once, only into unset
@@ -216,21 +229,20 @@ func (m *Mapping) Image(src Record) (Record, error) {
 		fired = false
 		for i := range m.rules {
 			r := &m.rules[i]
-			if assigned[r.dst] || out.Has(r.dst) {
+			if _, set := out[r.dst]; set {
 				continue
 			}
-			if ok, err := r.mayFire(out); err != nil {
+			if ok, err := r.mayFire(machine, out); err != nil {
 				return nil, err
 			} else if !ok {
 				continue
 			}
-			v, err := runExpr(r.prog, out)
+			v, err := machine.runExpr(r.prog, out)
 			if err != nil {
 				return nil, err
 			}
 			if len(v) > 0 {
-				out.Set(r.dst, v...)
-				assigned[r.dst] = true
+				out[r.dst] = append([]string(nil), v...)
 				fired = true
 			}
 		}
@@ -243,14 +255,14 @@ func (m *Mapping) Image(src Record) (Record, error) {
 // attributes of the object", i.e. the update's own schema); an absent record
 // never satisfies it, and a mapping without a constraint accepts every
 // present record.
-func (m *Mapping) satisfiesPartition(rec Record) (bool, error) {
+func (m *Mapping) satisfiesPartition(machine *vm, rec Record) (bool, error) {
 	if rec == nil {
 		return false, nil
 	}
 	if m.partition == nil {
 		return true, nil
 	}
-	return runCond(m.partition, rec)
+	return machine.runCond(m.partition, rec)
 }
 
 // Translate turns an update descriptor in the mapping's source schema into
@@ -264,50 +276,50 @@ func (m *Mapping) satisfiesPartition(rec Record) (bool, error) {
 //
 // When the update's origin is the target itself, the returned update is
 // marked Conditional so the applying filter uses reapply semantics (§5.4).
+//
+// The partition constraint is evaluated first: an update the target does not
+// manage costs two conditions and builds no image.
 func (m *Mapping) Translate(d Descriptor) (*TargetUpdate, error) {
-	var oldImg, newImg Record
+	machine := newVM()
+	var oldOK, newOK bool
 	var err error
 	if d.Op != OpAdd {
-		if oldImg, err = m.Image(d.Old); err != nil {
+		if oldOK, err = m.satisfiesPartition(&machine, d.Old); err != nil {
 			return nil, err
 		}
 	}
 	if d.Op != OpDelete {
-		if newImg, err = m.Image(d.New); err != nil {
+		if newOK, err = m.satisfiesPartition(&machine, d.New); err != nil {
 			return nil, err
 		}
 	}
-	oldOK, err := m.satisfiesPartition(d.Old)
-	if err != nil {
-		return nil, err
-	}
-	newOK, err := m.satisfiesPartition(d.New)
-	if err != nil {
-		return nil, err
-	}
-	if d.Op == OpAdd {
-		oldOK = false
-	}
-	if d.Op == OpDelete {
-		newOK = false
-	}
-	u := &TargetUpdate{Target: m.Target, Owned: m.Owned()}
+	var op OpKind
 	switch {
 	case !oldOK && newOK:
-		u.Op = OpAdd
+		op = OpAdd
 	case oldOK && newOK:
-		u.Op = OpModify
+		op = OpModify
 	case oldOK && !newOK:
-		u.Op = OpDelete
+		op = OpDelete
 	default:
 		return nil, nil // not under this target's management
 	}
-	u.Old, u.New = oldImg, newImg
-	if newImg != nil {
-		u.Key = newImg.First(m.keyDst)
+	u := &TargetUpdate{Target: m.Target, Op: op, Owned: m.owned}
+	if d.Op != OpAdd {
+		if u.Old, err = m.image(&machine, d.Old); err != nil {
+			return nil, err
+		}
 	}
-	if oldImg != nil {
-		u.OldKey = oldImg.First(m.keyDst)
+	if d.Op != OpDelete {
+		if u.New, err = m.image(&machine, d.New); err != nil {
+			return nil, err
+		}
+	}
+	if u.New != nil {
+		u.Key = first(u.New[m.keyDstKey])
+	}
+	if u.Old != nil {
+		u.OldKey = first(u.Old[m.keyDstKey])
 	}
 	if u.Key == "" {
 		u.Key = u.OldKey
@@ -324,9 +336,9 @@ func (m *Mapping) Translate(d Descriptor) (*TargetUpdate, error) {
 	// attribute carries it); the descriptor's Origin is the fallback.
 	origin := d.OriginName()
 	if m.originator != "" {
-		if v := recFirst(d.New, m.originator); v != "" {
+		if v := first(d.New[m.originatorKey]); v != "" {
 			origin = v
-		} else if v := recFirst(d.Old, m.originator); v != "" {
+		} else if v := first(d.Old[m.originatorKey]); v != "" {
 			origin = v
 		}
 	}
@@ -334,11 +346,12 @@ func (m *Mapping) Translate(d Descriptor) (*TargetUpdate, error) {
 	return u, nil
 }
 
-func recFirst(r Record, attr string) string {
-	if r == nil {
-		return ""
+// first returns the first of vs, or "".
+func first(vs []string) string {
+	if len(vs) > 0 {
+		return vs[0]
 	}
-	return r.First(attr)
+	return ""
 }
 
 // ErrNoFixpoint reports a closure pass that could not reach a fixpoint for
@@ -384,6 +397,7 @@ func (m *Mapping) ApplyClosure(old, rec Record, explicit []string) ([]string, er
 		explicitSet[canon(a)] = true
 	}
 	fired := map[int]bool{}
+	machine := newVM()
 	var out []string
 	for pass := 0; ; pass++ {
 		if pass > len(m.rules)+1 {
@@ -398,12 +412,12 @@ func (m *Mapping) ApplyClosure(old, rec Record, explicit []string) ([]string, er
 			if !touchesAny(r.inputs, changed) {
 				continue
 			}
-			if ok, err := r.mayFire(rec); err != nil {
+			if ok, err := r.mayFire(&machine, rec); err != nil {
 				return out, err
 			} else if !ok {
 				continue
 			}
-			v, err := runExpr(r.prog, rec)
+			v, err := machine.runExpr(r.prog, rec)
 			if err != nil {
 				return out, err
 			}

@@ -173,7 +173,8 @@ type TargetUpdate struct {
 	New    Record
 	// Owned lists the target-owned attributes declared by the mapping that
 	// produced this update ("owns" statement); a delete clears exactly
-	// these from the counterpart entry.
+	// these from the counterpart entry. The slice is the mapping's own,
+	// shared by every update it produces: read-only.
 	Owned []string
 }
 

@@ -18,9 +18,13 @@ func scalar(s string) value { return value{s} }
 // element. The VM encodes booleans as "1" / absent.
 func (v value) truthy() bool { return len(v) > 0 && v[0] != "" }
 
+// trueValue is the VM's one "true"; like every value on the stack it is
+// never mutated.
+var trueValue = value{"1"}
+
 func boolValue(b bool) value {
 	if b {
-		return scalar("1")
+		return trueValue
 	}
 	return nil
 }
@@ -32,11 +36,15 @@ func (v value) first() (string, bool) {
 	return v[0], true
 }
 
-// vm executes compiled lexpress programs. A vm is cheap to construct; one is
-// used per translation.
+// vm executes compiled lexpress programs. One vm serves a whole translation
+// (the mapping body, the partition constraint and every closure rule); its
+// stack is reused from run to run.
 type vm struct {
 	stack []value
 }
+
+// newVM returns a vm whose stack has room for typical programs.
+func newVM() vm { return vm{stack: make([]value, 0, 16)} }
 
 func (m *vm) push(v value) { m.stack = append(m.stack, v) }
 
@@ -46,15 +54,24 @@ func (m *vm) pop() value {
 	return v
 }
 
+// top returns the last n stack values in push order, as a view of the
+// stack itself; replace pops them and pushes v.
+func (m *vm) top(n int) []value { return m.stack[len(m.stack)-n:] }
+
+func (m *vm) replace(n int, v value) {
+	m.stack = append(m.stack[:len(m.stack)-n], v)
+}
+
 // maxSteps bounds program execution defensively (compiled programs are
 // loop-free except for the jumps the compiler itself emits, so this is only
 // a guard against compiler bugs).
 const maxSteps = 1 << 20
 
 // run executes prog with src as the attribute source. Stores are written to
-// out; assigned tracks first-mapping-wins state across programs (the caller
-// shares one map across the statement program and closure programs).
-func (m *vm) run(prog *program, src Record, out Record, assigned map[string]bool) error {
+// out, first mapping wins: an attribute out already holds is never
+// overwritten (the caller shares out across the statement program and the
+// closure rules).
+func (m *vm) run(prog *program, src Record, out Record) error {
 	pc := 0
 	steps := 0
 	for {
@@ -70,44 +87,20 @@ func (m *vm) run(prog *program, src Record, out Record, assigned map[string]bool
 		case opHalt:
 			return nil
 		case opPushConst:
-			m.push(scalar(prog.consts[in.A]))
+			m.push(prog.consts[in.A])
 		case opLoad:
-			m.push(value(src.Get(prog.attrs[in.A])))
+			m.push(value(src[prog.keys[in.A]]))
 		case opConcat:
-			n := in.A
-			parts := make([]value, n)
-			for i := n - 1; i >= 0; i-- {
-				parts[i] = m.pop()
-			}
-			var b strings.Builder
-			ok := true
-			for _, p := range parts {
-				s, present := p.first()
-				if !present {
-					ok = false
-					break
-				}
-				b.WriteString(s)
-			}
-			if ok {
-				m.push(scalar(b.String()))
-			} else {
-				m.push(nil)
-			}
+			m.replace(in.A, concat(m.top(in.A)))
 		case opAlt:
-			n := in.A
-			opts := make([]value, n)
-			for i := n - 1; i >= 0; i-- {
-				opts[i] = m.pop()
-			}
 			var chosen value
-			for _, o := range opts {
+			for _, o := range m.top(in.A) {
 				if len(o) > 0 {
 					chosen = o
 					break
 				}
 			}
-			m.push(chosen)
+			m.replace(in.A, chosen)
 		case opCall:
 			if err := m.call(builtin(in.A), in.B); err != nil {
 				return err
@@ -128,33 +121,24 @@ func (m *vm) run(prog *program, src Record, out Record, assigned map[string]bool
 				m.push(nil) // untranslatable: absent, resiliently
 			}
 		case opGroup:
-			p := prog.patterns[in.A]
 			v := m.pop()
 			s, present := v.first()
 			if !present {
 				m.push(nil)
 				break
 			}
-			groups, ok := p.Match(s)
+			g, ok := prog.patterns[in.A].group(s, in.B)
 			if !ok {
 				m.push(nil) // dirty data: mapping yields absent, not error
 				break
 			}
-			m.push(scalar(groups[in.B]))
+			m.push(scalar(g))
 		case opStore:
-			v := m.pop()
-			m.store(prog.attrs[in.A], v, out, assigned)
+			m.store(prog.keys[in.A], m.top(1), out)
+			m.stack = m.stack[:len(m.stack)-1]
 		case opStoreN:
-			n := in.B
-			var all []string
-			parts := make([]value, n)
-			for i := n - 1; i >= 0; i-- {
-				parts[i] = m.pop()
-			}
-			for _, p := range parts {
-				all = append(all, p...)
-			}
-			m.store(prog.attrs[in.A], value(all), out, assigned)
+			m.store(prog.keys[in.A], m.top(in.B), out)
+			m.stack = m.stack[:len(m.stack)-in.B]
 		case opJmp:
 			pc = in.A
 		case opJmpFalse:
@@ -176,7 +160,7 @@ func (m *vm) run(prog *program, src Record, out Record, assigned map[string]bool
 			s, present := v.first()
 			m.push(boolValue(present && prog.patterns[in.A].Like(s)))
 		case opPresent:
-			m.push(boolValue(src.Has(prog.attrs[in.A])))
+			m.push(boolValue(len(src[prog.keys[in.A]]) > 0))
 		case opNot:
 			m.push(boolValue(!m.pop().truthy()))
 		default:
@@ -185,102 +169,127 @@ func (m *vm) run(prog *program, src Record, out Record, assigned map[string]bool
 	}
 }
 
-// store implements first-mapping-wins assignment: a target attribute is set
-// by the first statement that produces a value for it; later statements in
-// the same translation are skipped. Absent values do not claim the slot, so
+// concat is the concatenation of the parts' first elements, absent when any
+// part is absent.
+func concat(parts []value) value {
+	n := 0
+	for _, p := range parts {
+		if len(p) == 0 {
+			return nil
+		}
+		n += len(p[0])
+	}
+	if len(parts) == 1 {
+		return scalar(parts[0][0])
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, p := range parts {
+		b.WriteString(p[0])
+	}
+	return scalar(b.String())
+}
+
+// store implements first-mapping-wins assignment of the concatenated value
+// lists vs to the attribute with canonical key k: the attribute is set by
+// the first statement that produces a value for it; later statements in the
+// same translation are skipped. Absent values do not claim the slot, so
 // ordered special cases and fallbacks compose naturally.
-func (m *vm) store(attr string, v value, out Record, assigned map[string]bool) {
-	k := canon(attr)
-	if assigned[k] {
+func (m *vm) store(k string, vs []value, out Record) {
+	if _, assigned := out[k]; assigned {
 		return
 	}
 	// Empty strings cannot be attribute values (LDAP forbids them), so a
 	// mapping that evaluates to "" leaves the attribute unclaimed — the
 	// next alternate or special case may still set it.
-	kept := v[:0:0]
-	for _, s := range v {
-		if s != "" {
-			kept = append(kept, s)
+	n := 0
+	for _, v := range vs {
+		for _, s := range v {
+			if s != "" {
+				n++
+			}
 		}
 	}
-	if len(kept) == 0 {
+	if n == 0 {
 		return
 	}
-	assigned[k] = true
-	out.Set(attr, kept...)
+	kept := make([]string, 0, n)
+	for _, v := range vs {
+		for _, s := range v {
+			if s != "" {
+				kept = append(kept, s)
+			}
+		}
+	}
+	out[k] = kept
 }
 
+// call invokes a builtin on the top nargs stack values and replaces them
+// with its result.
 func (m *vm) call(fn builtin, nargs int) error {
-	args := make([]value, nargs)
-	for i := nargs - 1; i >= 0; i-- {
-		args[i] = m.pop()
-	}
+	args := m.top(nargs)
+	var r value
 	switch fn {
 	case fnSubstr:
 		s, ok := args[0].first()
 		if !ok {
-			m.push(nil)
-			return nil
+			break
 		}
 		start, err1 := atoiValue(args[1])
 		length, err2 := atoiValue(args[2])
 		if err1 != nil || err2 != nil {
-			m.push(nil)
-			return nil
+			break
 		}
-		m.push(scalar(substr(s, start, length)))
+		r = scalar(substr(s, start, length))
 	case fnLower:
-		m.push(mapScalar(args[0], strings.ToLower))
+		r = mapScalar(args[0], strings.ToLower)
 	case fnUpper:
-		m.push(mapScalar(args[0], strings.ToUpper))
+		r = mapScalar(args[0], strings.ToUpper)
 	case fnTrim:
-		m.push(mapScalar(args[0], strings.TrimSpace))
+		r = mapScalar(args[0], strings.TrimSpace)
 	case fnReplace:
 		s, ok := args[0].first()
 		if !ok {
-			m.push(nil)
-			return nil
+			break
 		}
 		old, _ := args[1].first()
 		with, _ := args[2].first()
 		if old == "" {
-			m.push(scalar(s))
-			return nil
+			r = scalar(s)
+			break
 		}
-		m.push(scalar(strings.ReplaceAll(s, old, with)))
+		r = scalar(strings.ReplaceAll(s, old, with))
 	case fnJoin:
 		sep, _ := args[1].first()
 		if len(args[0]) == 0 {
-			m.push(nil)
-			return nil
+			break
 		}
-		m.push(scalar(strings.Join(args[0], sep)))
+		r = scalar(strings.Join(args[0], sep))
 	case fnSplit:
 		s, ok := args[0].first()
 		if !ok {
-			m.push(nil)
-			return nil
+			break
 		}
 		sep, _ := args[1].first()
 		if sep == "" {
-			m.push(scalar(s))
-			return nil
+			r = scalar(s)
+			break
 		}
-		m.push(value(strings.Split(s, sep)))
+		r = value(strings.Split(s, sep))
 	case fnCount:
-		m.push(scalar(strconv.Itoa(len(args[0]))))
+		r = scalar(strconv.Itoa(len(args[0])))
 	case fnFirst:
 		s, ok := args[0].first()
 		if !ok {
-			m.push(nil)
-			return nil
+			break
 		}
-		m.push(scalar(s))
+		r = scalar(s)
 	case fnValues:
-		m.push(args[0])
+		r = args[0]
 	default:
 		return fmt.Errorf("lexpress: unknown builtin %d", fn)
 	}
+	m.replace(nargs, r)
 	return nil
 }
 
@@ -320,9 +329,9 @@ func substr(s string, start, length int) string {
 }
 
 // runExpr executes an expression program and returns its value.
-func runExpr(prog *program, src Record) (value, error) {
-	m := &vm{}
-	if err := m.run(prog, src, nil, nil); err != nil {
+func (m *vm) runExpr(prog *program, src Record) (value, error) {
+	m.stack = m.stack[:0]
+	if err := m.run(prog, src, nil); err != nil {
 		return nil, err
 	}
 	if len(m.stack) == 0 {
@@ -332,8 +341,8 @@ func runExpr(prog *program, src Record) (value, error) {
 }
 
 // runCond executes a condition program.
-func runCond(prog *program, src Record) (bool, error) {
-	v, err := runExpr(prog, src)
+func (m *vm) runCond(prog *program, src Record) (bool, error) {
+	v, err := m.runExpr(prog, src)
 	if err != nil {
 		return false, err
 	}

@@ -3,7 +3,6 @@ package um
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"strings"
 	"sync"
 	"time"
@@ -207,13 +206,14 @@ type syncDevice struct {
 	name   string
 	policy SyncPolicy
 
-	keySrc  string   // device-side key attribute
-	ldapKey string   // LDAP-side key attribute
-	mapped  []string // attributes the device speaks for
+	keySrc     string   // device-side key attribute
+	ldapKey    string   // LDAP-side key attribute
+	ldapKeyKey string   // ldapKey's canonical record key
+	mapped     []string // canonical keys of the attributes the device speaks for, minus the origin stamp
 
-	recs       []lexpress.Record            // device dump
-	entryByKey map[string]*ldapclient.Entry // directory index by ldapKey
-	byKey      map[string]bool              // device records by device key
+	recs       []lexpress.Record      // device dump
+	entryByKey map[string]*syncPerson // directory index by ldapKey
+	byKey      map[string]bool        // device records by device key
 
 	mu    sync.Mutex
 	stats SyncStats
@@ -244,9 +244,24 @@ type syncEngine struct {
 	workers int
 
 	snapshotMode bool
-	// snapshotByDN indexes the snapshot's person entries by normalized DN —
-	// the delta replay's reference for entries deleted during the bulk pass.
-	snapshotByDN map[string]*ldapclient.Entry
+	// snapshotByDN indexes the snapshot's persons by normalized DN — the
+	// delta replay's reference for entries deleted during the bulk pass.
+	snapshotByDN map[string]*syncPerson
+}
+
+// syncPerson is one directory person of a pass: the entry the directory
+// helpers speak, and its lexpress record, built once and shared read-only by
+// every device and worker (the snapshot's value slices are shared too, never
+// copied). dnKey is the normalized DN, computed once in indexSnapshot.
+type syncPerson struct {
+	entry *ldapclient.Entry
+	rec   lexpress.Record
+	dnKey string
+}
+
+// newSyncPerson wraps an entry read from the live directory.
+func newSyncPerson(en *ldapclient.Entry) *syncPerson {
+	return &syncPerson{entry: en, rec: entryRecord(en)}
 }
 
 // failAll records err on every device that has not already failed.
@@ -287,7 +302,7 @@ func (e *syncEngine) runFullQuiesce() {
 func (e *syncEngine) runSnapshotDelta() {
 	bulkStart := time.Now()
 	var (
-		persons []*ldapclient.Entry
+		persons []*syncPerson
 		seq     uint64
 		changes <-chan directory.UpdateRecord
 		cancel  func()
@@ -371,12 +386,16 @@ func (e *syncEngine) runBulk() {
 		e.failAll(err)
 		return
 	}
-	e.runBulkEntries(live)
+	persons := make([]*syncPerson, len(live))
+	for i, en := range live {
+		persons[i] = newSyncPerson(en)
+	}
+	e.runBulkEntries(persons)
 }
 
 // runBulkEntries dumps and indexes every device and reconciles all items
-// (the directory's person entries) through the worker pool.
-func (e *syncEngine) runBulkEntries(allEntries []*ldapclient.Entry) {
+// (the directory's persons) through the worker pool.
+func (e *syncEngine) runBulkEntries(allEntries []*syncPerson) {
 	e.indexSnapshot(allEntries)
 
 	var wg sync.WaitGroup
@@ -407,27 +426,29 @@ func (e *syncEngine) loadDirectory() ([]*ldapclient.Entry, error) {
 	return entries, nil
 }
 
-// personEntries converts the snapshot's person entries to the client form
-// the reconciliation helpers speak. The snapshot shares the tree's
-// immutable attribute values; nothing here may mutate them.
-func personEntries(snapshot []directory.Entry) []*ldapclient.Entry {
-	var out []*ldapclient.Entry
+// personEntries converts the snapshot's person entries to the forms the
+// reconciliation speaks. The snapshot shares the tree's immutable attribute
+// values; nothing here may mutate them.
+func personEntries(snapshot []directory.Entry) []*syncPerson {
+	var out []*syncPerson
 	for _, se := range snapshot {
-		if ce := personEntry(se); ce != nil {
-			out = append(out, ce)
+		if p := personEntry(se); p != nil {
+			out = append(out, p)
 		}
 	}
 	return out
 }
 
 // personEntry converts one snapshot entry, or returns nil for non-person
-// entries (the streaming path's per-entry filter).
-func personEntry(se directory.Entry) *ldapclient.Entry {
+// entries (the streaming path's per-entry filter). The entry and the record
+// are built in one walk, the record keyed by the snapshot's interned lowered
+// keys.
+func personEntry(se directory.Entry) *syncPerson {
 	if se.Attrs == nil {
 		return nil
 	}
 	isPerson := false
-	for _, v := range se.Attrs.Get("objectClass") {
+	for _, v := range se.Attrs.Get("objectclass") { // lowered: no per-entry case folding
 		if strings.EqualFold(v, mcschema.ClassPerson) {
 			isPerson = true
 			break
@@ -436,18 +457,24 @@ func personEntry(se directory.Entry) *ldapclient.Entry {
 	if !isPerson {
 		return nil
 	}
-	ce := &ldapclient.Entry{DN: se.DN.String()}
-	se.Attrs.EachSorted(func(attr string, values []string) {
-		ce.Attributes = append(ce.Attributes, ldap.Attribute{Type: attr, Values: values})
+	p := &syncPerson{
+		entry: &ldapclient.Entry{DN: se.DN.String(), Attributes: make([]ldap.Attribute, 0, se.Attrs.Len())},
+		rec:   make(lexpress.Record, se.Attrs.Len()),
+	}
+	se.Attrs.EachKeyed(func(key, attr string, values []string) {
+		p.entry.Attributes = append(p.entry.Attributes, ldap.Attribute{Type: attr, Values: values})
+		p.rec[key] = values
 	})
-	return ce
+	return p
 }
 
-// indexSnapshot builds the by-DN index the delta replay consults.
-func (e *syncEngine) indexSnapshot(entries []*ldapclient.Entry) {
-	e.snapshotByDN = make(map[string]*ldapclient.Entry, len(entries))
-	for _, en := range entries {
-		e.snapshotByDN[normalizeDNString(en.DN)] = en
+// indexSnapshot normalizes every person's DN — once per pass — and builds
+// the by-DN index the delta replay consults.
+func (e *syncEngine) indexSnapshot(persons []*syncPerson) {
+	e.snapshotByDN = make(map[string]*syncPerson, len(persons))
+	for _, p := range persons {
+		p.dnKey = normalizeDNString(p.entry.DN)
+		e.snapshotByDN[p.dnKey] = p
 	}
 }
 
@@ -455,7 +482,7 @@ func (e *syncEngine) indexSnapshot(entries []*ldapclient.Entry) {
 // directory key values — two entries claiming the same device key — shadow
 // each other in the index; they are counted, logged, and the last one wins
 // (the historical behavior).
-func (e *syncEngine) prepareDevice(dev *syncDevice, allEntries []*ldapclient.Entry) {
+func (e *syncEngine) prepareDevice(dev *syncDevice, allEntries []*syncPerson) {
 	recs, err := dev.f.df.Converter().Dump()
 	if err != nil {
 		dev.err = fmt.Errorf("um: dumping %s: %w", dev.name, err)
@@ -465,11 +492,17 @@ func (e *syncEngine) prepareDevice(dev *syncDevice, allEntries []*ldapclient.Ent
 	dev.stats.DeviceRecords = len(recs)
 	dev.keySrc = dev.f.keySrc()
 	_, dev.ldapKey = dev.f.df.FromDevice().KeyAttrs()
-	dev.mapped = dev.f.df.FromDevice().MappedAttrs()
+	dev.ldapKeyKey = strings.ToLower(dev.ldapKey)
+	dev.mapped = nil
+	for _, a := range dev.f.df.FromDevice().MappedAttrs() {
+		if !strings.EqualFold(a, mcschema.AttrLastUpdater) {
+			dev.mapped = append(dev.mapped, strings.ToLower(a))
+		}
+	}
 
-	dev.entryByKey = make(map[string]*ldapclient.Entry, len(allEntries))
-	for _, en := range allEntries {
-		k := en.First(dev.ldapKey)
+	dev.entryByKey = make(map[string]*syncPerson, len(allEntries))
+	for _, p := range allEntries {
+		k := first(p.rec[dev.ldapKeyKey])
 		if k == "" {
 			continue
 		}
@@ -477,13 +510,14 @@ func (e *syncEngine) prepareDevice(dev *syncDevice, allEntries []*ldapclient.Ent
 			dev.stats.DuplicateKeys++
 			dev.stats.Errors++
 			e.u.logError(dev.name, "ldap", "sync-index", k,
-				fmt.Errorf("duplicate %s=%q: %s shadows %s", dev.ldapKey, k, en.DN, prev.DN))
+				fmt.Errorf("duplicate %s=%q: %s shadows %s", dev.ldapKey, k, p.entry.DN, prev.entry.DN))
 		}
-		dev.entryByKey[k] = en
+		dev.entryByKey[k] = p
 	}
 	dev.byKey = make(map[string]bool, len(recs))
+	keySrc := strings.ToLower(dev.keySrc)
 	for _, rec := range recs {
-		dev.byKey[rec.First(dev.keySrc)] = true
+		dev.byKey[first(rec[keySrc])] = true
 	}
 }
 
@@ -495,8 +529,8 @@ type syncItem struct {
 	rec      lexpress.Record
 	img      lexpress.Record
 	key      string
-	entry    *ldapclient.Entry
-	dirEntry *ldapclient.Entry
+	entry    *syncPerson
+	dirEntry *syncPerson
 	shard    string
 }
 
@@ -505,7 +539,7 @@ type syncItem struct {
 // The shard string keys worker routing: all items touching one directory
 // entry carry the same shard (per-entry operation order is preserved, the
 // UM shard discipline), including cross-device items in SynchronizeAll.
-func (e *syncEngine) buildItems(allEntries []*ldapclient.Entry) []syncItem {
+func (e *syncEngine) buildItems(allEntries []*syncPerson) []syncItem {
 	var items []syncItem
 	for _, dev := range e.devs {
 		if dev.err != nil {
@@ -520,7 +554,7 @@ func (e *syncEngine) buildItems(allEntries []*ldapclient.Entry) []syncItem {
 				e.u.logError(dev.name, "ldap", "sync", rec.First(dev.keySrc), err)
 				continue
 			}
-			key := img.First(dev.ldapKey)
+			key := first(img[dev.ldapKeyKey])
 			if key == "" {
 				dev.stats.Errors++
 				e.u.logError(dev.name, "ldap", "sync", rec.String(), fmt.Errorf("record has no %s", dev.ldapKey))
@@ -528,7 +562,7 @@ func (e *syncEngine) buildItems(allEntries []*ldapclient.Entry) []syncItem {
 			}
 			it := syncItem{dev: dev, rec: rec, img: img, key: key, entry: dev.entryByKey[key]}
 			if it.entry != nil {
-				it.shard = normalizeDNString(it.entry.DN)
+				it.shard = it.entry.dnKey
 			} else {
 				it.shard = "cn:" + strings.ToLower(img.First(mcschema.AttrCN))
 			}
@@ -536,8 +570,8 @@ func (e *syncEngine) buildItems(allEntries []*ldapclient.Entry) []syncItem {
 		}
 		// Pass 2: directory -> device. People the directory places on this
 		// device but the device does not know get created there.
-		for _, en := range allEntries {
-			items = append(items, syncItem{dev: dev, dirEntry: en, shard: normalizeDNString(en.DN)})
+		for _, p := range allEntries {
+			items = append(items, syncItem{dev: dev, dirEntry: p, shard: p.dnKey})
 		}
 	}
 	return items
@@ -564,14 +598,22 @@ func (e *syncEngine) runPool(items []syncItem) {
 		}(chans[i])
 	}
 	for _, it := range items {
-		h := fnv.New32a()
-		h.Write([]byte(it.shard))
-		chans[h.Sum32()%uint32(n)] <- it
+		chans[fnv32a(it.shard)%uint32(n)] <- it
 	}
 	for _, ch := range chans {
 		close(ch)
 	}
 	wg.Wait()
+}
+
+// fnv32a is FNV-32a of s, computed without the hash.Hash allocation.
+func fnv32a(s string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
+		h *= 16777619
+	}
+	return h
 }
 
 // process reconciles one item on a pool goroutine.
@@ -605,7 +647,7 @@ func (e *syncEngine) processAdd(it syncItem) {
 		if live != nil {
 			// The person exists under a different key index view (created
 			// since the snapshot, or shadowed): converge the pair instead.
-			e.reconcilePair(it, live)
+			e.reconcilePair(it, newSyncPerson(live))
 			return
 		}
 		// The natural name is taken by a DIFFERENT person; qualify the RDN
@@ -625,15 +667,16 @@ func (e *syncEngine) processAdd(it syncItem) {
 // for (the mapping body's targets), never derive-rule helpers like sn, and
 // never the origin stamp — synchronization is reconciliation, not an
 // update.
-func (e *syncEngine) reconcilePair(it syncItem, entry *ldapclient.Entry) {
+func (e *syncEngine) reconcilePair(it syncItem, p *syncPerson) {
 	dev := it.dev
-	cmp := restrictRecord(it.img, dev.mapped)
-	cur := entryMappedRecord(entry, dev.mapped)
-	if mappedInSync(cmp, cur) {
+	if mappedInSync(dev.mapped, it.img, p.rec) {
 		dev.bump(func(s *SyncStats) { s.AlreadyInSync++ })
 		return
 	}
+	entry := p.entry
 	if dev.policy == DeviceWins {
+		cmp := restrictRecord(it.img, dev.mapped)
+		cur := restrictRecord(p.rec, dev.mapped)
 		plan, err := e.writer.PlanConverge(entry, cur, cmp)
 		if err != nil {
 			dev.bump(func(s *SyncStats) { s.Errors++ })
@@ -654,9 +697,8 @@ func (e *syncEngine) reconcilePair(it syncItem, entry *ldapclient.Entry) {
 		return
 	}
 	// DirectoryWins: push the directory's state down to the device.
-	rec := entryRecord(entry)
 	tu, err := dev.f.df.Translate(lexpress.Descriptor{
-		Source: "ldap", Op: lexpress.OpModify, Key: entry.DN, Old: rec, New: rec,
+		Source: "ldap", Op: lexpress.OpModify, Key: entry.DN, Old: p.rec, New: p.rec,
 	})
 	if err != nil || tu == nil {
 		if err == nil {
@@ -690,9 +732,8 @@ func (e *syncEngine) convergeError(dev *syncDevice, key string, err error) {
 // the device.
 func (e *syncEngine) processPass2(it syncItem) {
 	dev := it.dev
-	rec := entryRecord(it.dirEntry)
 	tu, err := dev.f.df.Translate(lexpress.Descriptor{
-		Source: "ldap", Op: lexpress.OpAdd, Key: it.dirEntry.DN, New: rec,
+		Source: "ldap", Op: lexpress.OpAdd, Key: it.dirEntry.entry.DN, New: it.dirEntry.rec,
 	})
 	if err != nil || tu == nil {
 		return // not under this device's management
@@ -700,7 +741,7 @@ func (e *syncEngine) processPass2(it syncItem) {
 	if dev.byKey[tu.Key] {
 		return
 	}
-	if e.snapshotMode && !e.liveExists(it.dirEntry.DN) {
+	if e.snapshotMode && !e.liveExists(it.dirEntry.entry.DN) {
 		// Deleted since the snapshot; creating the device record would
 		// resurrect it. (The delete's delta record covers any remaining
 		// race.)
@@ -843,11 +884,12 @@ func (e *syncEngine) replayDN(key string, d *dirtyDN) int {
 			live = refetched
 		}
 	}
+	p := newSyncPerson(live)
 	for _, dev := range e.devs {
 		if dev.err != nil {
 			continue
 		}
-		if e.reconcileLive(dev, live) {
+		if e.reconcileLive(dev, p) {
 			replayed++
 		}
 	}
@@ -919,9 +961,8 @@ func (e *syncEngine) replayDeleted(key string) int {
 		if dev.err != nil {
 			continue
 		}
-		rec := entryRecord(snap)
 		tu, err := dev.f.df.Translate(lexpress.Descriptor{
-			Source: "ldap", Op: lexpress.OpDelete, Key: snap.DN, Old: rec,
+			Source: "ldap", Op: lexpress.OpDelete, Key: snap.entry.DN, Old: snap.rec,
 		})
 		if err != nil || tu == nil {
 			continue // the snapshot image never placed this person on the device
@@ -932,8 +973,8 @@ func (e *syncEngine) replayDeleted(key string) int {
 		if devKey == "" {
 			devKey = tu.Key
 		}
-		if liveByKey, lerr := e.writer.Locate(dev.ldapKey, snapKeyValue(snap, dev.ldapKey)); lerr == nil && liveByKey != nil {
-			if e.reconcileLive(dev, liveByKey) {
+		if liveByKey, lerr := e.writer.Locate(dev.ldapKey, first(snap.rec[dev.ldapKeyKey])); lerr == nil && liveByKey != nil {
+			if e.reconcileLive(dev, newSyncPerson(liveByKey)) {
 				replayed++
 			}
 			continue
@@ -950,17 +991,13 @@ func (e *syncEngine) replayDeleted(key string) int {
 	return replayed
 }
 
-// snapKeyValue extracts the device-key value from a snapshot entry.
-func snapKeyValue(e *ldapclient.Entry, ldapKey string) string { return e.First(ldapKey) }
-
 // reconcileLive converges one device to the live directory state of an
 // entry the delta touched. The directory is authoritative here: the
 // external update committed there and already fanned out, so this is a
 // convergence re-assertion ordered after every bulk writeback.
-func (e *syncEngine) reconcileLive(dev *syncDevice, live *ldapclient.Entry) bool {
-	rec := entryRecord(live)
+func (e *syncEngine) reconcileLive(dev *syncDevice, live *syncPerson) bool {
 	tu, err := dev.f.df.Translate(lexpress.Descriptor{
-		Source: "ldap", Op: lexpress.OpModify, Key: live.DN, Old: rec, New: rec,
+		Source: "ldap", Op: lexpress.OpModify, Key: live.entry.DN, Old: live.rec, New: live.rec,
 	})
 	if err != nil || tu == nil {
 		return false // not under this device's management
@@ -1015,61 +1052,45 @@ func (f *filterRef) keySrc() string {
 	return src
 }
 
-// restrictRecord keeps only the listed attributes (minus the origin stamp).
-func restrictRecord(rec lexpress.Record, attrs []string) lexpress.Record {
-	out := lexpress.NewRecord()
-	for _, a := range attrs {
-		if strings.EqualFold(a, mcschema.AttrLastUpdater) {
-			continue
-		}
-		if vs := rec.Get(a); len(vs) > 0 {
-			out.Set(a, vs...)
+// restrictRecord keeps only the attributes with the listed canonical keys.
+func restrictRecord(rec lexpress.Record, keys []string) lexpress.Record {
+	out := make(lexpress.Record, len(keys))
+	for _, k := range keys {
+		if vs := rec[k]; len(vs) > 0 {
+			out[k] = vs
 		}
 	}
 	return out
 }
 
-// entryMappedRecord extracts the mapped attributes currently on a directory
-// entry (minus the origin stamp).
-func entryMappedRecord(e *ldapclient.Entry, mapped []string) lexpress.Record {
-	out := lexpress.NewRecord()
-	for _, a := range mapped {
-		if strings.EqualFold(a, mcschema.AttrLastUpdater) {
-			continue
-		}
-		if vs := e.Attr(a); len(vs) > 0 {
-			out.Set(a, vs...)
-		}
-	}
-	return out
-}
-
-// mappedInSync compares the device's image against the entry's state over
-// the mapped attributes: object classes need only be present (they
-// accumulate across devices); everything else must match exactly — in both
-// directions, so an attribute cleared at the device counts as drift.
-func mappedInSync(img, cur lexpress.Record) bool {
-	keys := map[string]bool{}
-	for _, a := range img.Attrs() {
-		keys[a] = true
-	}
-	for _, a := range cur.Attrs() {
-		keys[a] = true
-	}
-	for a := range keys {
-		if strings.EqualFold(a, "objectclass") {
-			for _, v := range img.Get(a) {
-				if !containsFold(cur.Get(a), v) {
+// mappedInSync compares the device's image against the entry's record over
+// the mapped attributes (canonical keys): object classes need only be
+// present (they accumulate across devices); everything else must match
+// exactly — in both directions, so an attribute cleared at the device counts
+// as drift.
+func mappedInSync(keys []string, img, cur lexpress.Record) bool {
+	for _, k := range keys {
+		if k == "objectclass" {
+			for _, v := range img[k] {
+				if !containsFold(cur[k], v) {
 					return false
 				}
 			}
 			continue
 		}
-		if !sameValueSet(img.Get(a), cur.Get(a)) {
+		if !sameValueSet(img[k], cur[k]) {
 			return false
 		}
 	}
 	return true
+}
+
+// first returns the first of vs, or "".
+func first(vs []string) string {
+	if len(vs) > 0 {
+		return vs[0]
+	}
+	return ""
 }
 
 // entryRecord converts a search result entry to a lexpress record.

@@ -74,9 +74,10 @@ go test -run TestLegacyJSONJournalMigratesToV2 -count=1 ./internal/directory/
 go test -fuzz=FuzzDecode -fuzztime=10s ./internal/ber/
 go test -fuzz=FuzzParse -fuzztime=10s ./internal/lexpress/
 go test -fuzz=FuzzCompilePattern -fuzztime=10s ./internal/lexpress/
+go test -fuzz=FuzzPatternMatch -fuzztime=10s ./internal/lexpress/
 go test -fuzz=FuzzJournalV2Record -fuzztime=10s ./internal/record/
 go test -fuzz=FuzzReplicaStream -fuzztime=10s ./internal/replica/
-go test -run '^$' -bench . -benchtime=1x .
+go test -run '^$' -bench . -benchtime=1x . ./internal/um/
 # Wire-path load-generator smoke: spawn an in-process system, drive it for
 # two seconds, and verify the machine-readable benchmark record is written.
 go run ./cmd/loadgen -spawn -conns 64 -duration 2s -warmup 500ms -entries 64 -out "$tmp/bench_wire_smoke.json"
