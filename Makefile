@@ -38,11 +38,11 @@ bench:
 bench-e19:
 	$(GO) test -run '^$$' -bench BenchmarkE19DurableWrites -benchtime=1s -count=$(BENCH_COUNT) .
 
-# The wire-path benchmarks behind EXPERIMENTS.md E20 and E24: a real
+# The wire-path benchmarks behind EXPERIMENTS.md E20 and E24/E30: a real
 # metacommd process driven at high active-connection count, then the
-# mostly-idle matrix — goroutine vs epoll accept loops at ~1k and ~10k
-# held-open connections — merged into BENCH_wire_<rev>.json at the repo
-# root with a side-by-side summary. Tunables: CONNS, DURATION, PIPELINE,
+# mostly-idle tiers — ~1k and ~10k held-open connections that park between
+# their operations — merged into BENCH_wire_<rev>.json at the repo root
+# with a side-by-side summary. Tunables: CONNS, DURATION, PIPELINE,
 # ENTRIES, ACTIVE, IDLE_TIERS, IDLE_INTERVAL (see scripts/bench_wire.sh).
 bench-wire:
 	sh scripts/bench_wire.sh

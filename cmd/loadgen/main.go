@@ -9,7 +9,7 @@
 //
 //	loadgen -spawn -conns 1000 -duration 10s          # hermetic, in-process system
 //	loadgen -addr 127.0.0.1:3890 -conns 2000          # against a running metacommd
-//	loadgen -spawn -accept-loop epoll -conns 64 -idle-conns 5000   # mostly-idle regime
+//	loadgen -spawn -conns 64 -idle-conns 5000                     # mostly-idle regime
 //	loadgen -merge BENCH_wire_abc.json run1.json run2.json         # combine runs
 //
 // Each connection runs a closed loop: it fires a pipelined burst of
@@ -33,14 +33,12 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	metacomm "metacomm"
 	"metacomm/internal/ber"
 	"metacomm/internal/ldap"
 	"metacomm/internal/ldapclient"
-	"metacomm/internal/ldapserver"
 )
 
 func main() {
@@ -59,7 +57,6 @@ func main() {
 		seed     = flag.Int64("rand-seed", 1, "workload RNG seed (deterministic op mix per connection)")
 		idleN    = flag.Int("idle-conns", 0, "held-open mostly-idle connections alongside the active workers; each issues one base search per -idle-interval")
 		idleIvl  = flag.Duration("idle-interval", 10*time.Second, "per-idle-connection operation interval")
-		acceptLp = flag.String("accept-loop", "", "accept loop for the spawned system's listeners: goroutine or epoll (requires -spawn)")
 		label    = flag.String("label", "", "run label recorded in the output JSON (merge summaries key on it)")
 		merge    = flag.String("merge", "", "merge the per-run JSON files given as arguments into one benchmark record at this path; generates no load")
 		expName  = flag.String("experiment", "", "experiment tag recorded in the merged record (with -merge)")
@@ -71,9 +68,6 @@ func main() {
 	}
 	if *spawn == (*addr != "") {
 		log.Fatal("loadgen: exactly one of -spawn or -addr is required")
-	}
-	if *acceptLp != "" && !*spawn {
-		log.Fatal("loadgen: -accept-loop configures the spawned system; it requires -spawn")
 	}
 	if *writePct < 0 || *writePct > 100 {
 		log.Fatal("loadgen: -write-pct must be 0..100")
@@ -90,20 +84,13 @@ func main() {
 	var sys *metacomm.System
 	if *spawn {
 		var err error
-		sys, err = metacomm.Start(metacomm.Config{
-			UMShards:   *shards,
-			AcceptLoop: *acceptLp,
-		})
+		sys, err = metacomm.Start(metacomm.Config{UMShards: *shards})
 		if err != nil {
 			log.Fatalf("loadgen: spawn: %v", err)
 		}
 		defer sys.Close()
 		targets = []string{sys.LTAPAddrActual}
-		mode := *acceptLp
-		if mode == "" {
-			mode = metacomm.AcceptLoopGoroutine
-		}
-		fmt.Printf("spawned system at %s (accept-loop=%s)\n", targets[0], mode)
+		fmt.Printf("spawned system at %s\n", targets[0])
 	}
 
 	// Seed through one node; a multi-master mesh replicates the population
@@ -138,12 +125,6 @@ func main() {
 	r := run(targets, dns, cfgRun)
 	r.Label = *label
 	r.Config.Spawned = *spawn
-	if *spawn {
-		r.Config.AcceptLoop = *acceptLp
-		if r.Config.AcceptLoop == "" {
-			r.Config.AcceptLoop = metacomm.AcceptLoopGoroutine
-		}
-	}
 	r.Config.IdleConns = *idleN
 	if *idleN > 0 {
 		r.Config.IdleIntervalSec = round2(idleIvl.Seconds())
@@ -159,12 +140,7 @@ func main() {
 			DirResponsesWritten:   ws.Directory.ResponsesWritten,
 			DirFlushes:            ws.Directory.Flushes,
 			DirResponsesPerFlush:  round2(ws.Directory.ResponsesPerFlush()),
-		}
-		if rs := ws.LTAP.Reactor; rs.Enabled {
-			r.ServerWire.LTAPReactor = reactorJSONOf(rs)
-		}
-		if rs := ws.Directory.Reactor; rs.Enabled {
-			r.ServerWire.DirReactor = reactorJSONOf(rs)
+			LTAPParked:            ws.LTAP.Parked,
 		}
 	}
 	if idle != nil {
@@ -198,54 +174,12 @@ func main() {
 	fmt.Printf("process after run: heap-in-use=%d bytes goroutines=%d idle-ops=%d\n",
 		r.HeapInUse, r.NumGoroutine, r.IdleOps)
 	if r.ServerWire != nil {
-		fmt.Printf("server coalescing: ltap %.1f responses/flush, directory %.1f responses/flush\n",
-			r.ServerWire.LTAPResponsesPerFlush, r.ServerWire.DirResponsesPerFlush)
-		if rs := r.ServerWire.LTAPReactor; rs != nil {
-			fmt.Printf("ltap reactor: conns=%d workers=%d wakeups=%d frames=%d frames/wakeup=%.1f\n",
-				rs.Conns, rs.Workers, rs.Wakeups, rs.Frames, rs.FramesPerWakeup)
-		}
+		fmt.Printf("server coalescing: ltap %.1f responses/flush, directory %.1f responses/flush; ltap parked=%d\n",
+			r.ServerWire.LTAPResponsesPerFlush, r.ServerWire.DirResponsesPerFlush, r.ServerWire.LTAPParked)
 	}
 	fmt.Printf("wrote %s\n", path)
 	if r.Errors > r.Ops/100 {
 		log.Fatalf("loadgen: error rate over 1%% (%d/%d)", r.Errors, r.Ops)
-	}
-}
-
-// raiseNoFile lifts the fd limit so the requested connection count (plus the
-// spawned system's accept side — two fds per connection in-process) fits, and
-// fails fast with a clear message when it cannot. Privileged processes may
-// raise the hard limit too; unprivileged ones are stuck at it.
-func raiseNoFile(conns int, spawn bool) {
-	perConn := uint64(1)
-	if spawn {
-		perConn = 2 // the server end of every connection lives in this process too
-	}
-	need := perConn*uint64(conns) + 1024
-	var rl syscall.Rlimit
-	if err := syscall.Getrlimit(syscall.RLIMIT_NOFILE, &rl); err != nil {
-		return
-	}
-	if rl.Cur >= need {
-		return
-	}
-	if rl.Max < need {
-		// Raising the hard limit needs CAP_SYS_RESOURCE; try, ignore failure.
-		try := rl
-		try.Cur, try.Max = need, need
-		if syscall.Setrlimit(syscall.RLIMIT_NOFILE, &try) == nil {
-			return
-		}
-	}
-	rl.Cur = rl.Max
-	if rl.Cur > need {
-		rl.Cur = need
-	}
-	_ = syscall.Setrlimit(syscall.RLIMIT_NOFILE, &rl)
-	syscall.Getrlimit(syscall.RLIMIT_NOFILE, &rl)
-	if rl.Cur < need {
-		log.Fatalf("loadgen: %d connections (-conns plus -idle-conns) need ~%d file descriptors "+
-			"but RLIMIT_NOFILE caps at %d; lower the connection counts or raise the limit (ulimit -n)",
-			conns, need, rl.Cur)
 	}
 }
 
@@ -318,7 +252,7 @@ type result struct {
 	// delta between runs that differ only in -idle-conns).
 	HeapInUse uint64 `json:"heap_in_use_bytes"`
 	// NumGoroutine is the process goroutine count at the same instant: in
-	// -spawn mode it exposes goroutine-per-conn vs O(workers) serving.
+	// -spawn mode it shows whether idle connections hold goroutines.
 	NumGoroutine int       `json:"num_goroutine"`
 	ServerWire   *wireJSON `json:"server_wire,omitempty"`
 }
@@ -327,7 +261,6 @@ type configJSON struct {
 	Conns           int     `json:"conns"`
 	IdleConns       int     `json:"idle_conns"`
 	IdleIntervalSec float64 `json:"idle_interval_sec,omitempty"`
-	AcceptLoop      string  `json:"accept_loop,omitempty"`
 	Pipeline        int     `json:"pipeline"`
 	WritePct        int     `json:"write_pct"`
 	DurationSec     float64 `json:"duration_sec"`
@@ -348,40 +281,17 @@ type latencyJSON struct {
 }
 
 type wireJSON struct {
-	LTAPMessagesRead      uint64       `json:"ltap_messages_read"`
-	LTAPResponsesWritten  uint64       `json:"ltap_responses_written"`
-	LTAPFlushes           uint64       `json:"ltap_flushes"`
-	LTAPResponsesPerFlush float64      `json:"ltap_responses_per_flush"`
-	DirMessagesRead       uint64       `json:"dir_messages_read"`
-	DirResponsesWritten   uint64       `json:"dir_responses_written"`
-	DirFlushes            uint64       `json:"dir_flushes"`
-	DirResponsesPerFlush  float64      `json:"dir_responses_per_flush"`
-	LTAPReactor           *reactorJSON `json:"ltap_reactor,omitempty"`
-	DirReactor            *reactorJSON `json:"dir_reactor,omitempty"`
-}
-
-// reactorJSON records the epoll reactor's counters for one listener, present
-// only when that listener served in epoll mode.
-type reactorJSON struct {
-	Conns           uint64  `json:"conns"`
-	Workers         uint64  `json:"workers"`
-	Wakeups         uint64  `json:"wakeups"`
-	Events          uint64  `json:"events"`
-	Frames          uint64  `json:"frames"`
-	FramesPerWakeup float64 `json:"frames_per_wakeup"`
-	QueueDepth      uint64  `json:"queue_depth"`
-}
-
-func reactorJSONOf(rs ldapserver.ReactorStats) *reactorJSON {
-	return &reactorJSON{
-		Conns:           rs.Conns,
-		Workers:         rs.Workers,
-		Wakeups:         rs.Wakeups,
-		Events:          rs.Events,
-		Frames:          rs.Frames,
-		FramesPerWakeup: round2(rs.FramesPerWakeup()),
-		QueueDepth:      rs.QueueDepth,
-	}
+	LTAPMessagesRead      uint64  `json:"ltap_messages_read"`
+	LTAPResponsesWritten  uint64  `json:"ltap_responses_written"`
+	LTAPFlushes           uint64  `json:"ltap_flushes"`
+	LTAPResponsesPerFlush float64 `json:"ltap_responses_per_flush"`
+	DirMessagesRead       uint64  `json:"dir_messages_read"`
+	DirResponsesWritten   uint64  `json:"dir_responses_written"`
+	DirFlushes            uint64  `json:"dir_flushes"`
+	DirResponsesPerFlush  float64 `json:"dir_responses_per_flush"`
+	// LTAPParked is the number of idle connections parked on the gateway's
+	// listener when the run ended (they hold no goroutine and no buffers).
+	LTAPParked uint64 `json:"ltap_parked"`
 }
 
 // run opens cfg.conns connections round-robined across the targets, lets
@@ -475,8 +385,8 @@ func run(targets []string, dns []string, cfg runConfig) result {
 		res.AllocsPerOp = round2(float64(msAfter.Mallocs-msBefore.Mallocs) / float64(total))
 	}
 	// Steady-state footprint: active workers are gone, idle connections (if
-	// any) are still held open, transient server workers have drained. The
-	// forced GC makes HeapInuse mean live bytes, not floating garbage.
+	// any) are still held open. The forced GC makes HeapInuse mean live
+	// bytes, not floating garbage.
 	runtime.GC()
 	var msFinal runtime.MemStats
 	runtime.ReadMemStats(&msFinal)
@@ -789,8 +699,8 @@ func splitTargets(s string) []string {
 }
 
 // mergedResult is the head-to-head benchmark record: several labelled runs
-// of the same revision combined into one file (E24 records its
-// goroutine-vs-epoll matrix this way in BENCH_wire_<rev>.json).
+// of the same revision combined into one file (the active run and the
+// mostly-idle tiers of scripts/bench_wire.sh, in BENCH_wire_<rev>.json).
 type mergedResult struct {
 	Rev        string   `json:"rev"`
 	Timestamp  string   `json:"timestamp"`
@@ -835,16 +745,16 @@ func mergeRuns(outPath string, files []string, rev, experiment string) {
 	if err := os.WriteFile(outPath, blob, 0o644); err != nil {
 		log.Fatalf("loadgen: write %s: %v", outPath, err)
 	}
-	fmt.Printf("%-26s %7s %7s %10s %8s %14s %11s %10s\n",
-		"label", "conns", "idle", "ops/s", "p99us", "heap-bytes", "goroutines", "frames/wk")
+	fmt.Printf("%-26s %7s %7s %10s %8s %14s %11s %7s\n",
+		"label", "conns", "idle", "ops/s", "p99us", "heap-bytes", "goroutines", "parked")
 	for _, r := range doc.Runs {
-		fw := "-"
-		if r.ServerWire != nil && r.ServerWire.LTAPReactor != nil {
-			fw = fmt.Sprintf("%.1f", r.ServerWire.LTAPReactor.FramesPerWakeup)
+		parked := "-"
+		if r.ServerWire != nil {
+			parked = fmt.Sprint(r.ServerWire.LTAPParked)
 		}
-		fmt.Printf("%-26s %7d %7d %10.0f %8d %14d %11d %10s\n",
+		fmt.Printf("%-26s %7d %7d %10.0f %8d %14d %11d %7s\n",
 			r.Label, r.Config.Conns, r.Config.IdleConns, r.OpsPerSec, r.Latency.P99,
-			r.HeapInUse, r.NumGoroutine, fw)
+			r.HeapInUse, r.NumGoroutine, parked)
 	}
 	fmt.Printf("wrote %s\n", outPath)
 }

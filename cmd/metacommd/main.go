@@ -54,7 +54,6 @@ func main() {
 		devSess  = flag.Int("device-sessions", 0, "pooled administration sessions per device (0 = single session)")
 		devLat   = flag.Duration("device-latency", 0, "simulated per-update processing time in the device simulators")
 		maxMsg   = flag.Int("max-message", 0, "max LDAP request message size in bytes on both listeners (0 = 4 MB default)")
-		acceptLp = flag.String("accept-loop", "goroutine", "connection serving on both listeners: goroutine (per-conn, portable) or epoll (event loop, Linux)")
 		outbox   = flag.String("outbox-dir", "", "journal directory for the durable device-update outbox (empty disables)")
 		obRetry  = flag.Int("outbox-retries", 0, "outbox replay attempts before targeted repair (0 = default)")
 		obBack   = flag.Duration("outbox-backoff", 0, "outbox base retry backoff, doubled per attempt (0 = default)")
@@ -98,7 +97,6 @@ func main() {
 		DeviceSessions: *devSess,
 		DeviceLatency:  *devLat,
 		MaxMessageSize: *maxMsg,
-		AcceptLoop:     *acceptLp,
 		Outbox: metacomm.OutboxConfig{
 			Dir:         *outbox,
 			MaxRetries:  *obRetry,
@@ -161,22 +159,12 @@ func main() {
 	fmt.Printf("shutting down; um: shards=%d processed=%d pending=%d busy-rejections=%d device-applies=%d errors=%d\n",
 		st.Shards, st.UpdatesProcessed, st.Pending, st.QueueRejections, st.DeviceApplies, st.ErrorsLogged)
 	ws := sys.WireStats()
-	fmt.Printf("wire ltap: messages=%d responses=%d flushes=%d responses/flush=%.1f oversize-rejected=%d\n",
+	fmt.Printf("wire ltap: messages=%d responses=%d flushes=%d responses/flush=%.1f oversize-rejected=%d parked=%d\n",
 		ws.LTAP.MessagesRead, ws.LTAP.ResponsesWritten, ws.LTAP.Flushes,
-		ws.LTAP.ResponsesPerFlush(), ws.LTAP.OversizeRejected)
-	fmt.Printf("wire directory: messages=%d responses=%d flushes=%d responses/flush=%.1f oversize-rejected=%d\n",
+		ws.LTAP.ResponsesPerFlush(), ws.LTAP.OversizeRejected, ws.LTAP.Parked)
+	fmt.Printf("wire directory: messages=%d responses=%d flushes=%d responses/flush=%.1f oversize-rejected=%d parked=%d\n",
 		ws.Directory.MessagesRead, ws.Directory.ResponsesWritten, ws.Directory.Flushes,
-		ws.Directory.ResponsesPerFlush(), ws.Directory.OversizeRejected)
-	for _, r := range []struct {
-		name string
-		st   ldapserver.ReactorStats
-	}{{"ltap", ws.LTAP.Reactor}, {"directory", ws.Directory.Reactor}} {
-		if r.st.Enabled {
-			fmt.Printf("reactor %s: conns=%d workers=%d wakeups=%d events=%d frames=%d frames/wakeup=%.1f queue-depth=%d\n",
-				r.name, r.st.Conns, r.st.Workers, r.st.Wakeups, r.st.Events,
-				r.st.Frames, r.st.FramesPerWakeup(), r.st.QueueDepth)
-		}
-	}
+		ws.Directory.ResponsesPerFlush(), ws.Directory.OversizeRejected, ws.Directory.Parked)
 	gs := sys.Gateway.Stats()
 	fmt.Printf("gateway: searches=%d updates=%d backend-fetches=%d quiesces=%d quiesce-ms=%.1f updates-delayed=%d\n",
 		gs.Searches, gs.Updates, gs.BackendFetches,

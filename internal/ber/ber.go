@@ -446,78 +446,6 @@ func decodeLength(b []byte) (length, consumed int, err error) {
 	return v, 1 + n, nil
 }
 
-// ReadElement reads one complete BER element from r. It reads the identifier
-// and length octets byte-at-a-time, then the content in full, so it can sit
-// directly on a net.Conn without framing. The result owns its memory (safe
-// to retain), and the message is bounded by DefaultMaxMessageSize.
-//
-// Connection loops should prefer Reader, which amortizes the per-message
-// buffers and Element allocations this function pays on every call.
-func ReadElement(r io.Reader) (*Element, error) {
-	header := make([]byte, 0, 8)
-	one := make([]byte, 1)
-
-	readByte := func() (byte, error) {
-		if _, err := io.ReadFull(r, one); err != nil {
-			return 0, err
-		}
-		header = append(header, one[0])
-		return one[0], nil
-	}
-
-	ident, err := readByte()
-	if err != nil {
-		return nil, err
-	}
-	if ident&0x1F == 0x1F {
-		for {
-			c, err := readByte()
-			if err != nil {
-				return nil, err
-			}
-			if c&0x80 == 0 {
-				break
-			}
-			if len(header) > 6 {
-				return nil, errors.New("ber: tag number too large")
-			}
-		}
-	}
-	lb, err := readByte()
-	if err != nil {
-		return nil, err
-	}
-	length := 0
-	if lb < 0x80 {
-		length = int(lb)
-	} else {
-		n := int(lb & 0x7F)
-		if n == 0 || n > 4 {
-			return nil, fmt.Errorf("ber: unsupported length form %#x", lb)
-		}
-		for i := 0; i < n; i++ {
-			c, err := readByte()
-			if err != nil {
-				return nil, err
-			}
-			length = length<<8 | int(c)
-		}
-	}
-	if total := len(header) + length; total > DefaultMaxMessageSize {
-		return nil, fmt.Errorf("%w: %d bytes over limit %d", ErrTooLarge, total, DefaultMaxMessageSize)
-	}
-	if length > MaxElementSize {
-		return nil, fmt.Errorf("ber: element of %d bytes exceeds limit", length)
-	}
-	buf := make([]byte, len(header)+length)
-	copy(buf, header)
-	if _, err := io.ReadFull(r, buf[len(header):]); err != nil {
-		return nil, err
-	}
-	e, _, err := Decode(buf)
-	return e, err
-}
-
 // Clone returns a deep copy of e that owns all of its memory. It is the
 // copy-on-retain escape hatch for borrowed trees produced by Reader /
 // Decoder: anything that must outlive the next read (cache entries,

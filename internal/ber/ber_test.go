@@ -203,22 +203,23 @@ func TestReadElementFromStream(t *testing.T) {
 	second := NewSequence(NewInteger(2), NewOctetString("two"))
 	buf.Write(first.Encode())
 	buf.Write(second.Encode())
+	rd := NewReader(&buf)
 
-	e1, err := ReadElement(&buf)
+	e1, err := rd.ReadElement()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := e1.Children[0].Int(); v != 1 {
 		t.Errorf("first message id = %d", v)
 	}
-	e2, err := ReadElement(&buf)
+	e2, err := rd.ReadElement()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e2.Children[1].Str() != "two" {
 		t.Errorf("second payload = %q", e2.Children[1].Str())
 	}
-	if _, err := ReadElement(&buf); err == nil {
+	if _, err := rd.ReadElement(); err == nil {
 		t.Error("expected EOF on empty stream")
 	}
 }
@@ -227,7 +228,7 @@ func TestReadElementLongForm(t *testing.T) {
 	payload := bytes.Repeat([]byte("y"), 1000)
 	var buf bytes.Buffer
 	buf.Write(NewBytes(payload).Encode())
-	e, err := ReadElement(&buf)
+	e, err := NewReader(&buf).ReadElement()
 	if err != nil {
 		t.Fatal(err)
 	}

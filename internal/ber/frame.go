@@ -8,8 +8,9 @@ import (
 // FrameSize parses the identifier and length octets of the BER element at
 // the front of b and returns the total encoded size (header + content
 // octets) of that element. It is the slice-based twin of
-// Reader.MessageBuffered: event-loop servers that accumulate raw socket
-// bytes use it to find complete frames without a streaming reader.
+// Reader.MessageBuffered: code that accumulates raw socket bytes (the load
+// generator's idle connections) uses it to find complete frames without a
+// streaming reader.
 //
 //	size, ok, err := FrameSize(buf, max)
 //
@@ -73,12 +74,4 @@ func FrameSize(b []byte, max int) (size int, ok bool, err error) {
 		return 0, false, fmt.Errorf("ber: element of %d bytes exceeds limit", length)
 	}
 	return off + length, true, nil
-}
-
-// Trim drops the decoder's oversized retained slabs (see maxRetainedElems),
-// so one unusually large message does not pin a long-lived Decoder's memory.
-// Reader does this automatically per read; standalone Decoder holders (the
-// reactor's worker pool) call it between serving bursts.
-func (d *Decoder) Trim() {
-	d.a.trim()
 }

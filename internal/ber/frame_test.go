@@ -74,8 +74,9 @@ func TestFrameSizeMalformed(t *testing.T) {
 
 // FrameSize and Reader.MessageBuffered must agree: whenever FrameSize sees a
 // complete frame (or a header the reader would refuse), a Reader holding the
-// same bytes must report a message buffered, and vice versa — the goroutine
-// and reactor accept loops key their flush decisions off these two.
+// same bytes must report a message buffered, and vice versa — the server's
+// flush decisions and raw-frame readers such as the load generator's idle
+// connections must not disagree on where a message ends.
 func TestFrameSizeMatchesMessageBuffered(t *testing.T) {
 	enc := NewSequence(NewInteger(3), NewOctetString("abcdef")).Encode()
 	cases := [][]byte{

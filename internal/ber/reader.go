@@ -7,7 +7,8 @@ import (
 	"io"
 )
 
-// This file is the zero-copy wire-decode path. The original ReadElement
+// This file is the zero-copy wire-decode path. The original stream reader
+// (readElementRef in reader_test.go, now only the tests' reference)
 // allocated a fresh header slice, a one-byte scratch buffer and a full
 // message buffer per message, and Decode allocated every *Element node and
 // every Children slice separately — around two dozen allocations for an
@@ -269,8 +270,13 @@ func (r *Reader) SetMaxMessageSize(n int) {
 }
 
 // Reset discards buffered state and re-points the reader at src, keeping the
-// allocated buffers (for tests and connection reuse).
+// allocated buffers (for tests and connection reuse) up to the retention
+// bounds, so a pooled reader does not carry one large message's storage.
 func (r *Reader) Reset(src io.Reader) {
+	if cap(r.buf) > maxRetainedBuf {
+		r.buf = nil
+	}
+	r.dec.a.trim()
 	if br, ok := src.(*bufio.Reader); ok {
 		r.br = br
 		return
@@ -280,6 +286,16 @@ func (r *Reader) Reset(src io.Reader) {
 
 // Buffered returns the number of bytes already available in the read buffer.
 func (r *Reader) Buffered() int { return r.br.Buffered() }
+
+// Wait blocks until at least one octet of the next element is buffered,
+// without consuming it. It is the fill ReadElement's first read would make,
+// so waiting first and reading after costs no extra read. A failed Wait (a
+// read deadline, EOF) leaves no partial element behind: the reader is as it
+// was, and the next call may succeed.
+func (r *Reader) Wait() error {
+	_, err := r.br.Peek(1)
+	return err
+}
 
 // MessageBuffered reports whether the read buffer already holds at least one
 // complete message, i.e. whether the next ReadElement can complete without
@@ -353,8 +369,9 @@ func (r *Reader) ReadElement() (*Element, error) {
 	r.dec.a.trim()
 	r.buf = r.buf[:0]
 
-	// EOF mid-header surfaces as io.EOF, matching the legacy ReadElement
-	// (io.ReadFull of a single byte); EOF mid-content is unexpected EOF.
+	// EOF mid-header surfaces as io.EOF, matching the allocating reference
+	// reader (io.ReadFull of a single byte); EOF mid-content is unexpected
+	// EOF.
 	readByte := func() (byte, error) {
 		c, err := r.br.ReadByte()
 		if err != nil {

@@ -3,6 +3,7 @@ package ber
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -111,22 +112,92 @@ func TestDecoderDifferential(t *testing.T) {
 }
 
 // TestReaderDifferential pins Reader.ReadElement against the allocating
-// ReadElement over the same inputs, framed as streams.
+// readElementRef over the same inputs, framed as streams.
 func TestReaderDifferential(t *testing.T) {
 	inputs := append(corpusInputs(t), sampleMessages()...)
 	rd := NewReader(bytes.NewReader(nil))
 	for i, in := range inputs {
-		want, wantErr := ReadElement(bytes.NewReader(in))
+		want, wantErr := readElementRef(bytes.NewReader(in))
 		src := bytes.NewReader(in)
 		rd.Reset(src)
 		got, gotErr := rd.ReadElement()
 		if !sameError(wantErr, gotErr) {
-			t.Fatalf("input %d (%x): error mismatch: ReadElement=%v Reader=%v", i, in, wantErr, gotErr)
+			t.Fatalf("input %d (%x): error mismatch: readElementRef=%v Reader=%v", i, in, wantErr, gotErr)
 		}
 		if wantErr == nil && !reflect.DeepEqual(want, got) {
-			t.Fatalf("input %d (%x): tree mismatch:\nReadElement: %v\nReader:      %v", i, in, want, got)
+			t.Fatalf("input %d (%x): tree mismatch:\nreadElementRef: %v\nReader:         %v", i, in, want, got)
 		}
 	}
+}
+
+// readElementRef is the reference stream reader Reader is checked against:
+// the original allocating implementation, kept here because nothing outside
+// the tests reads elements this way any more. It reads the identifier and
+// length octets byte-at-a-time, then the content in full; the result owns
+// its memory, and the message is bounded by DefaultMaxMessageSize.
+func readElementRef(r io.Reader) (*Element, error) {
+	header := make([]byte, 0, 8)
+	one := make([]byte, 1)
+
+	readByte := func() (byte, error) {
+		if _, err := io.ReadFull(r, one); err != nil {
+			return 0, err
+		}
+		header = append(header, one[0])
+		return one[0], nil
+	}
+
+	ident, err := readByte()
+	if err != nil {
+		return nil, err
+	}
+	if ident&0x1F == 0x1F {
+		for {
+			c, err := readByte()
+			if err != nil {
+				return nil, err
+			}
+			if c&0x80 == 0 {
+				break
+			}
+			if len(header) > 6 {
+				return nil, errors.New("ber: tag number too large")
+			}
+		}
+	}
+	lb, err := readByte()
+	if err != nil {
+		return nil, err
+	}
+	length := 0
+	if lb < 0x80 {
+		length = int(lb)
+	} else {
+		n := int(lb & 0x7F)
+		if n == 0 || n > 4 {
+			return nil, fmt.Errorf("ber: unsupported length form %#x", lb)
+		}
+		for i := 0; i < n; i++ {
+			c, err := readByte()
+			if err != nil {
+				return nil, err
+			}
+			length = length<<8 | int(c)
+		}
+	}
+	if total := len(header) + length; total > DefaultMaxMessageSize {
+		return nil, fmt.Errorf("%w: %d bytes over limit %d", ErrTooLarge, total, DefaultMaxMessageSize)
+	}
+	if length > MaxElementSize {
+		return nil, fmt.Errorf("ber: element of %d bytes exceeds limit", length)
+	}
+	buf := make([]byte, len(header)+length)
+	copy(buf, header)
+	if _, err := io.ReadFull(r, buf[len(header):]); err != nil {
+		return nil, err
+	}
+	e, _, err := Decode(buf)
+	return e, err
 }
 
 // TestReaderBorrowedAliasing pins the ownership rule: trees from one
@@ -161,8 +232,7 @@ func TestReaderBorrowedAliasing(t *testing.T) {
 
 // TestReaderAllocs is the decode-path allocation regression: steady-state
 // wire reads allocate nothing, and in any case no more than half of what the
-// pre-PR per-message decoder (ReadElement, unchanged) pays on the same
-// message.
+// allocating reference decoder (readElementRef) pays on the same message.
 func TestReaderAllocs(t *testing.T) {
 	msg := sampleMessages()[0] // modify-request shape
 	src := bytes.NewReader(msg)
@@ -177,7 +247,7 @@ func TestReaderAllocs(t *testing.T) {
 	})
 	oldAllocs := testing.AllocsPerRun(200, func() {
 		src.Reset(msg)
-		if _, err := ReadElement(src); err != nil {
+		if _, err := readElementRef(src); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -201,10 +271,10 @@ func TestReaderMaxMessageSize(t *testing.T) {
 	if !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("got %v, want ErrTooLarge", err)
 	}
-	// The default bound applies to the legacy path too.
+	// Without SetMaxMessageSize the default bound applies.
 	over := []byte{0x30, 0x84, 0x01, 0x00, 0x00, 0x01} // 16 MB + 1... declared
-	if _, err := ReadElement(bytes.NewReader(over)); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("legacy ReadElement: got %v, want ErrTooLarge", err)
+	if _, err := NewReader(bytes.NewReader(over)).ReadElement(); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("default bound: got %v, want ErrTooLarge", err)
 	}
 	// Within bounds still works.
 	ok := NewOctetString("fits").Encode()

@@ -377,17 +377,6 @@ func (m *Message) element() *ber.Element {
 
 // --- decoding ---
 
-// ReadMessage reads and decodes one LDAPMessage from r, allocating fresh
-// buffers for the message. Connection loops should prefer Reader, which
-// reuses its decode storage across messages.
-func ReadMessage(r io.Reader) (*Message, error) {
-	e, err := ber.ReadElement(r)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeMessage(e)
-}
-
 // Reader reads LDAP messages from one connection with zero-copy BER decode:
 // the BER element tree is borrowed from per-connection reused storage, and
 // DecodeMessage converts everything it keeps into owned memory (strings, or
@@ -402,6 +391,19 @@ type Reader struct {
 func NewReader(r io.Reader) *Reader {
 	return &Reader{br: ber.NewReader(r)}
 }
+
+// Reset re-points the reader at src, discarding anything buffered and keeping
+// its decode storage (servers pool readers across connections).
+func (r *Reader) Reset(src io.Reader) { r.br.Reset(src) }
+
+// Wait blocks until the first octet of the next message is buffered, without
+// consuming it (see ber.Reader.Wait): servers wait for a request this way so
+// that an idle-interval deadline never interrupts a message mid-read.
+func (r *Reader) Wait() error { return r.br.Wait() }
+
+// Buffered returns the number of request bytes already read off the
+// connection and not yet consumed.
+func (r *Reader) Buffered() int { return r.br.Buffered() }
 
 // SetMaxMessageSize bounds a single wire message; n <= 0 restores
 // ber.DefaultMaxMessageSize. Oversized messages fail with an error wrapping

@@ -13,7 +13,7 @@ func roundTrip(t *testing.T, m *Message) *Message {
 	if err := m.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadMessage(&buf)
+	got, err := NewReader(&buf).ReadMessage()
 	if err != nil {
 		t.Fatalf("decode %T: %v", m.Op, err)
 	}
@@ -188,7 +188,7 @@ func TestResultErr(t *testing.T) {
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := ReadMessage(bytes.NewReader([]byte{0x02, 0x01, 0x05})); err == nil {
+	if _, err := NewReader(bytes.NewReader([]byte{0x02, 0x01, 0x05})).ReadMessage(); err == nil {
 		t.Error("non-sequence message accepted")
 	}
 }
@@ -207,7 +207,7 @@ func TestMessageRoundTripProperty(t *testing.T) {
 		if err := msg.Write(&buf); err != nil {
 			return false
 		}
-		got, err := ReadMessage(&buf)
+		got, err := NewReader(&buf).ReadMessage()
 		if err != nil || got.ID != id {
 			return false
 		}

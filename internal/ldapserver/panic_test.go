@@ -24,7 +24,6 @@ func TestHandlerPanicBecomesOperationsError(t *testing.T) {
 	h := &panicHandler{}
 	h.DIT = newTestDIT(t)
 	srv := NewServer(h)
-	srv.AcceptLoop = testAcceptLoop
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

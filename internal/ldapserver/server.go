@@ -11,8 +11,10 @@ import (
 	"io"
 	"log"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"metacomm/internal/ber"
 	"metacomm/internal/ldap"
@@ -28,7 +30,7 @@ type Conn struct {
 }
 
 // Handler responds to LDAP operations. Implementations must be safe for
-// concurrent use: the server runs one goroutine per connection.
+// concurrent use: every active connection has its own goroutine.
 type Handler interface {
 	Bind(c *Conn, req *ldap.BindRequest) ldap.Result
 	Search(c *Conn, req *ldap.SearchRequest, send func(*ldap.SearchResultEntry) error) ldap.Result
@@ -41,6 +43,13 @@ type Handler interface {
 }
 
 // Server accepts LDAP connections and dispatches operations to a Handler.
+//
+// A connection is served by its own goroutine while it is active. Once it has
+// waited about idleInterval for its next request it parks: its goroutine
+// returns the connection's buffers to a pool, hands the socket to the
+// server's one epoll set and exits, and the first byte of the next request
+// starts a fresh goroutine for it (DESIGN.md §16). Handlers see the same
+// *Conn across a park.
 type Server struct {
 	Handler Handler
 	// ErrorLog receives connection-level errors; nil discards them.
@@ -50,33 +59,74 @@ type Server struct {
 	// larger length is answered with a protocolError unsolicited notice and
 	// the connection is closed, before any content is read or allocated.
 	MaxMessageSize int
-	// AcceptLoop selects the connection-serving strategy: "goroutine" (or
-	// "", the default) parks one goroutine plus dedicated buffers on every
-	// connection; "epoll" multiplexes all connections onto a readiness
-	// reactor with a bounded worker pool, so an idle connection costs no
-	// goroutine and no buffer (Linux only — elsewhere the server logs a
-	// note and falls back to goroutine mode). Set before Start.
-	AcceptLoop string
-	// Workers sizes the reactor's resident worker pool in epoll mode; 0
-	// means a GOMAXPROCS-derived default. Ignored in goroutine mode.
-	Workers int
 
+	// mu guards the two owner sets: a connection is in exactly one of conns
+	// (its goroutine serves it) and parked (the park set holds it).
 	mu       sync.Mutex
 	listener net.Listener
-	conns    map[net.Conn]bool
+	conns    map[*serverConn]struct{}
+	parked   map[int32]*serverConn // by fd
+	parks    *parkSet              // nil where connections cannot park
 	closed   bool
+	done     chan struct{} // closed by Close: stops the idle sweep
 	wg       sync.WaitGroup
-	reactor  *reactor
 
 	wire wireCounters
 }
 
-// Accept-loop mode names accepted by Server.AcceptLoop (and the -accept-loop
-// flags in metacommd and loadgen).
+// idleInterval is how long a connection waits for its next request before
+// it parks. A wake adds ~30 µs to the request that causes it; a connection
+// kept on its goroutine holds ~19–23 KB of stack and buffers. A second keeps
+// every connection that sends at least once a second on its goroutine, and
+// makes a wake cost under 1/10 000 of the idleness it ends (DESIGN.md §16).
+const idleInterval = time.Second
+
+// parkAfter is idleInterval; tests shorten it. Zero parks a connection at
+// every wait, so each request crosses a park and a wake.
+var parkAfter = idleInterval
+
+// errIdle reports a wait that outlasted the idle interval.
+var errIdle = errors.New("ldapserver: connection idle")
+
+// aLongTimeAgo is a read deadline already past: it interrupts a blocked read.
+var aLongTimeAgo = time.Unix(1, 0)
+
+// serverConn is one accepted connection. conn survives a park; the wait
+// fields tell the idle sweep which connections are waiting, and for how long.
+type serverConn struct {
+	nc   net.Conn
+	conn Conn
+	// wait is 0 while the connection is busy, gen<<2|waiting while its
+	// goroutine waits for a request, and |interrupted once the sweep has
+	// set a past read deadline to end that wait. gen is the owner's count
+	// of waits; seen is the sweep's last reading of wait (under Server.mu).
+	wait atomic.Uint32
+	gen  uint32
+	seen uint32
+}
+
 const (
-	AcceptLoopGoroutine = "goroutine"
-	AcceptLoopEpoll     = "epoll"
+	waiting     = 1
+	interrupted = 2
 )
+
+// connBufs is a connection's decode and encode storage — the buffered
+// reader with its message buffer and element arena, the buffered writer and
+// the response encode buffer. It is pooled, so a parked connection holds
+// none of it.
+type connBufs struct {
+	rd   *ldap.Reader
+	bw   *bufio.Writer
+	wbuf []byte
+}
+
+var bufPool = sync.Pool{New: func() any {
+	return &connBufs{rd: ldap.NewReader(nil), bw: bufio.NewWriterSize(nil, 4096), wbuf: make([]byte, 0, 4096)}
+}}
+
+// maxPooledEncode caps the encode buffer a pooled connBufs keeps, so one
+// large search entry does not stay pinned in the pool.
+const maxPooledEncode = 64 << 10
 
 // wireCounters aggregates per-connection wire activity across the server.
 type wireCounters struct {
@@ -97,30 +147,9 @@ type WireStats struct {
 	ResponsesWritten uint64
 	Flushes          uint64
 	OversizeRejected uint64
-	// Reactor is the epoll accept-loop snapshot; the zero value (with
-	// Enabled=false) in goroutine mode.
-	Reactor ReactorStats
-}
-
-// ReactorStats is a point-in-time snapshot of the epoll reactor.
-type ReactorStats struct {
-	Enabled    bool
-	Conns      uint64 // connections currently registered with the reactor
-	Workers    uint64 // live worker goroutines (resident + overflow)
-	Wakeups    uint64 // epoll_wait returns
-	Events     uint64 // readiness events dispatched to connections
-	Frames     uint64 // complete BER frames peeled off readiness events
-	QueueDepth uint64 // ready connections awaiting a worker right now
-}
-
-// FramesPerWakeup returns the mean number of complete frames served per
-// epoll_wait return — the reactor's batching factor (higher = fewer wakeups
-// doing more work each).
-func (r ReactorStats) FramesPerWakeup() float64 {
-	if r.Wakeups == 0 {
-		return 0
-	}
-	return float64(r.Frames) / float64(r.Wakeups)
+	// Parked is the number of idle connections parked right now: they hold
+	// no goroutine and no buffers.
+	Parked uint64
 }
 
 // ResponsesPerFlush returns the mean number of response messages coalesced
@@ -134,114 +163,121 @@ func (w WireStats) ResponsesPerFlush() float64 {
 
 // WireStats snapshots the server's wire counters.
 func (s *Server) WireStats() WireStats {
-	ws := WireStats{
+	s.mu.Lock()
+	parked := len(s.parked)
+	s.mu.Unlock()
+	return WireStats{
 		MessagesRead:     s.wire.messagesRead.Load(),
 		ResponsesWritten: s.wire.responsesWritten.Load(),
 		Flushes:          s.wire.flushes.Load(),
 		OversizeRejected: s.wire.oversizeRejected.Load(),
+		Parked:           uint64(parked),
 	}
-	s.mu.Lock()
-	r := s.reactor
-	s.mu.Unlock()
-	if r != nil {
-		ws.Reactor = r.stats()
-	}
-	return ws
 }
 
 // NewServer returns a server for the handler.
 func NewServer(h Handler) *Server {
-	return &Server{Handler: h, conns: map[net.Conn]bool{}}
+	return &Server{Handler: h, conns: map[*serverConn]struct{}{},
+		parked: map[int32]*serverConn{}, done: make(chan struct{})}
 }
 
 // Start listens on addr (e.g. "127.0.0.1:0") and serves in the background.
 // It returns the bound address.
 func (s *Server) Start(addr string) (net.Addr, error) {
-	var r *reactor
-	switch s.AcceptLoop {
-	case "", AcceptLoopGoroutine:
-	case AcceptLoopEpoll:
-		var err error
-		if r, err = newReactor(s); err != nil {
-			// Portable fallback: serve goroutine-per-conn and say so, since
-			// benchmarks comparing the modes must not silently converge.
-			s.logf("ldapserver: epoll accept loop unavailable (%v); falling back to goroutine mode", err)
-		}
-	default:
-		return nil, fmt.Errorf("ldapserver: unknown accept loop %q (want %q or %q)",
-			s.AcceptLoop, AcceptLoopGoroutine, AcceptLoopEpoll)
-	}
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
-		if r != nil {
-			r.shutdown()
-		}
 		return nil, err
+	}
+	parks, err := newParkSet()
+	if err != nil {
+		// Connections then keep their goroutines while idle, as they do
+		// where no park set exists at all.
+		s.logf("ldapserver: idle connections will not park: %v", err)
 	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		l.Close()
-		if r != nil {
-			r.shutdown()
+		if parks != nil {
+			parks.close()
 		}
 		return nil, errors.New("ldapserver: server closed")
 	}
 	s.listener = l
-	s.reactor = r
+	s.parks = parks
 	s.mu.Unlock()
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		s.acceptLoop(l)
 	}()
+	if parks != nil {
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			parks.wait(s.wake)
+		}()
+		if parkAfter > 0 {
+			s.wg.Add(1)
+			go func() {
+				defer s.wg.Done()
+				s.sweepLoop(parkAfter)
+			}()
+		}
+	}
 	return l.Addr(), nil
 }
 
 func (s *Server) acceptLoop(l net.Listener) {
 	for {
-		c, err := l.Accept()
+		nc, err := l.Accept()
 		if err != nil {
 			return // listener closed
 		}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
-			c.Close()
+			nc.Close()
 			return
 		}
-		if s.reactor != nil {
-			// Reactor mode: the conn's fd moves into the epoll set; no
-			// per-conn goroutine and no entry in the conns map (the reactor
-			// owns teardown).
-			s.mu.Unlock()
-			s.reactor.register(c)
-			continue
-		}
-		s.conns[c] = true
+		s.serveLocked(&serverConn{nc: nc, conn: Conn{RemoteAddr: nc.RemoteAddr().String()}}, false)
 		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(c)
-		}()
 	}
 }
 
-// Close stops the listener and closes all live connections.
+// serveLocked starts a goroutine for c. woken says the park set saw its
+// next request arrive. Called with s.mu held.
+func (s *Server) serveLocked(c *serverConn, woken bool) {
+	s.conns[c] = struct{}{}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		s.serveConn(c, woken)
+	}()
+}
+
+// Close stops the listener, closes all connections, active and parked, and
+// waits for every goroutine the server started.
 func (s *Server) Close() {
 	s.mu.Lock()
-	s.closed = true
+	if !s.closed {
+		s.closed = true
+		close(s.done)
+	}
 	if s.listener != nil {
 		s.listener.Close()
 	}
 	for c := range s.conns {
-		c.Close()
+		c.nc.Close()
 	}
-	r := s.reactor
+	for fd, c := range s.parked {
+		c.nc.Close()
+		delete(s.parked, fd)
+	}
+	parks := s.parks
 	s.mu.Unlock()
-	if r != nil {
-		r.shutdown()
+	if parks != nil {
+		parks.close()
 	}
 	s.wg.Wait()
 }
@@ -252,14 +288,32 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-func (s *Server) serveConn(nc net.Conn) {
-	defer func() {
-		nc.Close()
+// serveConn serves c until it closes or parks. woken is true when the park
+// set started this goroutine because c's next request arrived.
+func (s *Server) serveConn(c *serverConn, woken bool) {
+	b := bufPool.Get().(*connBufs)
+	b.rd.Reset(c.nc)
+	b.rd.SetMaxMessageSize(s.MaxMessageSize)
+	b.bw.Reset(c.nc)
+	if !s.serveRequests(c, b, woken) {
+		b.bw.Flush() // unbind and error exits still deliver pending responses
+		c.nc.Close()
 		s.mu.Lock()
-		delete(s.conns, nc)
+		delete(s.conns, c)
 		s.mu.Unlock()
-	}()
-	conn := &Conn{RemoteAddr: nc.RemoteAddr().String()}
+	}
+	b.rd.Reset(nil)
+	b.bw.Reset(nil)
+	if cap(b.wbuf) > maxPooledEncode {
+		b.wbuf = make([]byte, 0, 4096)
+	}
+	bufPool.Put(b)
+}
+
+// serveRequests is the request loop. It reports true when c has parked (the
+// park set owns it now) and false when the connection is done.
+func (s *Server) serveRequests(c *serverConn, b *connBufs, woken bool) bool {
+	conn := &c.conn
 	// The reader owns this connection's decode storage: a buffered reader
 	// (headers parse without byte-at-a-time conn reads), a reused message
 	// buffer, and an element arena — steady-state BER decode allocates
@@ -267,17 +321,13 @@ func (s *Server) serveConn(nc net.Conn) {
 	// requests. The buffered writer coalesces responses; it is flushed only
 	// before a read that would block, so a pipelined burst of requests gets
 	// its responses in one kernel write.
-	rd := ldap.NewReader(nc)
-	rd.SetMaxMessageSize(s.MaxMessageSize)
-	bw := bufio.NewWriterSize(nc, 4096)
-	defer bw.Flush() // unbind and error exits still deliver pending responses
-	// One reusable encode buffer per connection: responses append into it
-	// before entering the write buffer. The connection's goroutine is the
-	// only writer, so no locking is needed.
-	wbuf := make([]byte, 0, 4096)
+	rd, bw := b.rd, b.bw
+	// Responses append into one reusable encode buffer before entering the
+	// write buffer. The connection's goroutine is the only writer, so no
+	// locking is needed.
 	write := func(m *ldap.Message) error {
-		wbuf = m.AppendTo(wbuf[:0])
-		_, err := bw.Write(wbuf)
+		b.wbuf = m.AppendTo(b.wbuf[:0])
+		_, err := bw.Write(b.wbuf)
 		if err == nil {
 			s.wire.responsesWritten.Add(1)
 		}
@@ -291,11 +341,22 @@ func (s *Server) serveConn(nc net.Conn) {
 		if !rd.MessageBuffered() && bw.Buffered() > 0 {
 			if err := bw.Flush(); err != nil {
 				s.logf("ldapserver: %s: write: %v", conn.RemoteAddr, err)
-				return
+				return false
 			}
 			s.wire.flushes.Add(1)
 		}
-		msg, err := rd.ReadMessage()
+		err := s.awaitRequest(c, rd, woken)
+		woken = false
+		if err == errIdle {
+			if s.park(c) {
+				return true
+			}
+			err = rd.Wait() // could not park: wait here, as long as it takes
+		}
+		var msg *ldap.Message
+		if err == nil {
+			msg, err = rd.ReadMessage()
+		}
 		if err != nil {
 			if errors.Is(err, ber.ErrTooLarge) {
 				// Refuse the oversized message with LDAP's unsolicited
@@ -306,16 +367,16 @@ func (s *Server) serveConn(nc net.Conn) {
 					Name: ldap.NoticeOfDisconnection,
 					Result: ldap.Result{Code: ldap.ResultProtocolError,
 						Message: err.Error()}}})
-				return
+				return false
 			}
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				s.logf("ldapserver: %s: read: %v", conn.RemoteAddr, err)
 			}
-			return
+			return false
 		}
 		s.wire.messagesRead.Add(1)
 		if _, ok := msg.Op.(*ldap.UnbindRequest); ok {
-			return
+			return false
 		}
 		resp := s.dispatch(conn, write, msg)
 		if resp == nil {
@@ -323,8 +384,109 @@ func (s *Server) serveConn(nc net.Conn) {
 		}
 		if err := write(resp); err != nil {
 			s.logf("ldapserver: %s: write: %v", conn.RemoteAddr, err)
-			return
+			return false
 		}
+	}
+}
+
+// awaitRequest waits until the first byte of c's next request is buffered.
+// It returns errIdle once the wait has outlasted the idle interval, and the
+// read error if the wait failed. Only the first byte is waited for under
+// the idle sweep: a request already begun is read to its end with no
+// deadline, because ber.Reader cannot resume a message after a read error,
+// so a connection holding part of a request never parks.
+func (s *Server) awaitRequest(c *serverConn, rd *ldap.Reader, woken bool) error {
+	if s.parks == nil || rd.Buffered() > 0 {
+		return nil
+	}
+	if parkAfter == 0 && !woken {
+		return errIdle
+	}
+	c.gen++
+	w := c.gen<<2 | waiting
+	c.wait.Store(w)
+	err := rd.Wait()
+	if c.wait.CompareAndSwap(w, 0) {
+		return err
+	}
+	// The sweep interrupted this wait. It set the past deadline while
+	// holding s.mu, so once we hold s.mu the deadline is in place and
+	// clearing it sticks.
+	c.wait.Store(0)
+	s.mu.Lock()
+	c.nc.SetReadDeadline(time.Time{})
+	s.mu.Unlock()
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		return errIdle
+	}
+	return err // nil: the request arrived as the sweep fired; serve it
+}
+
+// sweepLoop runs the idle sweep once per period until Close.
+func (s *Server) sweepLoop(period time.Duration) {
+	t := time.NewTicker(period)
+	defer t.Stop()
+	for {
+		select {
+		case <-s.done:
+			return
+		case <-t.C:
+			s.sweep()
+		}
+	}
+}
+
+// sweep interrupts every wait that was already under way at the previous
+// sweep, so a connection parks after one to two periods without a request.
+// It costs the request path no timer: a wait is one atomic store and one
+// compare-and-swap.
+func (s *Server) sweep() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for c := range s.conns {
+		w := c.wait.Load()
+		if w&waiting != 0 && w == c.seen && c.wait.CompareAndSwap(w, w|interrupted) {
+			c.nc.SetReadDeadline(aLongTimeAgo)
+		}
+		c.seen = w
+	}
+}
+
+// park moves c from its goroutine to the park set. It reports false when c
+// must stay with its goroutine: the server is closing, or the park set
+// refused the socket.
+func (s *Server) park(c *serverConn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	fd, err := s.parks.add(c.nc)
+	if err != nil {
+		s.logf("ldapserver: %s: park: %v", c.conn.RemoteAddr, err)
+		return false
+	}
+	delete(s.conns, c)
+	s.parked[fd] = c
+	return true
+}
+
+// wake starts a goroutine for each parked connection whose socket turned
+// readable: a request, or the peer closing. The park set calls it.
+func (s *Server) wake(fds []int32) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return
+	}
+	for _, fd := range fds {
+		c := s.parked[fd]
+		if c == nil {
+			continue
+		}
+		delete(s.parked, fd)
+		s.parks.remove(fd)
+		s.serveLocked(c, true)
 	}
 }
 

@@ -20,7 +20,6 @@ func startServer(t testing.TB, rootDN, rootPW string) (*ldapclient.Conn, *direct
 	h := NewDITHandler(d)
 	h.RootDN, h.RootPassword = rootDN, rootPW
 	srv := NewServer(h)
-	srv.AcceptLoop = testAcceptLoop
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -33,11 +32,6 @@ func startServer(t testing.TB, rootDN, rootPW string) (*ldapclient.Conn, *direct
 	t.Cleanup(func() { c.Close() })
 	return c, d
 }
-
-// testAcceptLoop is the accept-loop mode every test server starts with.
-// TestEpollAcceptLoopSuite flips it to "epoll" and re-runs the suite, so
-// both serving paths face the same contracts.
-var testAcceptLoop = AcceptLoopGoroutine
 
 func seedTree(t testing.TB, c *ldapclient.Conn) {
 	t.Helper()

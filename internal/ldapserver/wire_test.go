@@ -21,7 +21,6 @@ func startWireServer(t testing.TB, maxMsg int) (*Server, string) {
 	t.Helper()
 	d := directory.New(mcschema.New())
 	srv := NewServer(NewDITHandler(d))
-	srv.AcceptLoop = testAcceptLoop
 	srv.MaxMessageSize = maxMsg
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {

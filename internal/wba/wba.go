@@ -56,9 +56,8 @@ type Server struct {
 	// progress (replica.Replicator.Stats).
 	ReplicationStats func() replica.Stats
 	// LTAPWireStats / DirWireStats, when set, feed the wire-path section of
-	// the status page: per-listener message/flush counters and — when the
-	// epoll accept loop is serving — reactor counters (registered conns,
-	// wakeups, frames per wakeup, worker-pool depth).
+	// the status page: per-listener message/flush counters and the number of
+	// idle connections parked.
 	LTAPWireStats func() ldapserver.WireStats
 	DirWireStats  func() ldapserver.WireStats
 
@@ -349,24 +348,13 @@ var statusTmpl = template.Must(template.Must(pageTmpl.Clone()).Parse(`{{define "
 {{if .Wires}}
 <h2>LDAP wire path</h2>
 <table border="1" cellpadding="4">
-<tr><th>Listener</th><th>Accept loop</th><th>Messages</th><th>Responses</th><th>Flushes</th>
-<th>Responses/flush</th><th>Oversize rejected</th></tr>
+<tr><th>Listener</th><th>Messages</th><th>Responses</th><th>Flushes</th>
+<th>Responses/flush</th><th>Oversize rejected</th><th>Parked</th></tr>
 {{range .Wires}}
-<tr><td>{{.Name}}</td><td>{{.Mode}}</td><td>{{.W.MessagesRead}}</td><td>{{.W.ResponsesWritten}}</td>
-<td>{{.W.Flushes}}</td><td>{{.RespPerFlush}}</td><td>{{.W.OversizeRejected}}</td></tr>
+<tr><td>{{.Name}}</td><td>{{.W.MessagesRead}}</td><td>{{.W.ResponsesWritten}}</td>
+<td>{{.W.Flushes}}</td><td>{{.RespPerFlush}}</td><td>{{.W.OversizeRejected}}</td><td>{{.W.Parked}}</td></tr>
 {{end}}
 </table>
-{{if .Reactors}}
-<h3>Epoll reactors</h3>
-<table border="1" cellpadding="4">
-<tr><th>Listener</th><th>Conns</th><th>Workers</th><th>Wakeups</th><th>Events</th>
-<th>Frames</th><th>Frames/wakeup</th><th>Queue depth</th></tr>
-{{range .Reactors}}
-<tr><td>{{.Name}}</td><td>{{.R.Conns}}</td><td>{{.R.Workers}}</td><td>{{.R.Wakeups}}</td>
-<td>{{.R.Events}}</td><td>{{.R.Frames}}</td><td>{{.FramesPerWakeup}}</td><td>{{.R.QueueDepth}}</td></tr>
-{{end}}
-</table>
-{{end}}
 {{end}}
 {{if .JWired}}
 <h2>Directory journal (group commit)</h2>
@@ -480,15 +468,10 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	type wireRow struct {
-		Name, Mode, RespPerFlush string
-		W                        ldapserver.WireStats
-	}
-	type reactorRow struct {
-		Name, FramesPerWakeup string
-		R                     ldapserver.ReactorStats
+		Name, RespPerFlush string
+		W                  ldapserver.WireStats
 	}
 	var wires []wireRow
-	var reactors []reactorRow
 	for _, l := range []struct {
 		name string
 		fn   func() ldapserver.WireStats
@@ -497,27 +480,14 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		ws := l.fn()
-		mode := "goroutine-per-conn"
-		if ws.Reactor.Enabled {
-			mode = "epoll"
-			reactors = append(reactors, reactorRow{
-				Name:            l.name,
-				FramesPerWakeup: fmt.Sprintf("%.1f", ws.Reactor.FramesPerWakeup()),
-				R:               ws.Reactor,
-			})
-		}
 		wires = append(wires, wireRow{
 			Name:         l.name,
-			Mode:         mode,
 			RespPerFlush: fmt.Sprintf("%.1f", ws.ResponsesPerFlush()),
 			W:            ws,
 		})
 	}
 	if len(wires) > 0 {
 		data["Wires"] = wires
-	}
-	if len(reactors) > 0 {
-		data["Reactors"] = reactors
 	}
 	data["JWired"] = false
 	if s.JournalStats != nil {

@@ -54,12 +54,6 @@ import (
 // um.OutboxConfig for the fields).
 type OutboxConfig = um.OutboxConfig
 
-// Accept-loop strategies for Config.AcceptLoop (see ldapserver.Server).
-const (
-	AcceptLoopGoroutine = ldapserver.AcceptLoopGoroutine
-	AcceptLoopEpoll     = ldapserver.AcceptLoopEpoll
-)
-
 // Config configures a System. The zero value works: every listener binds a
 // loopback ephemeral port and both device simulators start embedded.
 type Config struct {
@@ -101,14 +95,6 @@ type Config struct {
 	// outside clients: the node's own device-originated updates reach the
 	// gateway in process, whatever their size.
 	MaxMessageSize int
-	// AcceptLoop selects the connection-serving strategy for both LDAP
-	// listeners (the LTAP gateway and the backing directory server):
-	// AcceptLoopGoroutine (or "", the default) serves
-	// goroutine-per-connection; AcceptLoopEpoll multiplexes connections
-	// onto a readiness reactor so 10k+ mostly-idle consumers cost no
-	// parked goroutines or buffers (Linux only; elsewhere it logs a note
-	// and falls back to goroutine mode).
-	AcceptLoop string
 	// Outbox configures the Update Manager's durable device-update outbox
 	// with per-device circuit breakers: failed (or timed-out) device
 	// applies are journaled and replayed with backoff once the device
@@ -250,7 +236,6 @@ func Start(cfg Config) (*System, error) {
 	s.dirServer = ldapserver.NewServer(ldapserver.NewDITHandler(s.DIT))
 	s.dirServer.ErrorLog = cfg.Logger
 	s.dirServer.MaxMessageSize = cfg.MaxMessageSize
-	s.dirServer.AcceptLoop = cfg.AcceptLoop
 	dirAddr, err := s.dirServer.Start(defaultStr(cfg.DirectoryAddr, "127.0.0.1:0"))
 	if err != nil {
 		return nil, fmt.Errorf("metacomm: directory listener: %w", err)
@@ -391,7 +376,6 @@ func Start(cfg Config) (*System, error) {
 	s.ltapServer = ldapserver.NewServer(s.Gateway)
 	s.ltapServer.ErrorLog = cfg.Logger
 	s.ltapServer.MaxMessageSize = cfg.MaxMessageSize
-	s.ltapServer.AcceptLoop = cfg.AcceptLoop
 	ltapAddr, err := s.ltapServer.Start(defaultStr(cfg.LTAPAddr, "127.0.0.1:0"))
 	if err != nil {
 		return nil, fmt.Errorf("metacomm: ltap listener: %w", err)

@@ -1,17 +1,16 @@
 #!/bin/sh
-# Wire-path benchmarks (EXPERIMENTS.md E20 + E24).
+# Wire-path benchmarks (EXPERIMENTS.md E20 + E24/E30).
 #
 # E20: start a real metacommd process and drive it with cmd/loadgen over
 # thousands of active LDAP connections — throughput and latency of the hot
 # serving path over real sockets.
 #
-# E24: spawn in-process systems and hold ~1k and ~10k mostly-idle
-# connections (each issuing one op per IDLE_INTERVAL) against both accept
-# loops — goroutine-per-connection vs the epoll reactor — head-to-head. The
-# in-process spawn is deliberate: heap and goroutine readings then include
-# the server, so the per-idle-connection server cost is the delta between
-# modes. Tier sizes are capped to what RLIMIT_NOFILE allows (two fds per
-# connection in one process).
+# E24/E30: spawn in-process systems and hold ~1k and ~10k mostly-idle
+# connections, each issuing one op per IDLE_INTERVAL — longer than the
+# server's idle interval, so between ops they park. The in-process spawn is
+# deliberate: heap and goroutine readings then include the server, so the
+# per-idle-connection cost is the delta between tiers. Tier sizes are capped
+# to what RLIMIT_NOFILE allows (two fds per connection in one process).
 #
 # The merged machine-readable record lands as BENCH_wire_<rev>.json at the
 # repo root, with a side-by-side summary on stdout. Tunables come from the
@@ -68,29 +67,27 @@ fi
 kill $SRV 2>/dev/null || true
 wait $SRV 2>/dev/null || true
 
-# ---- E24: the mostly-idle matrix, both accept loops at each tier.
+# ---- E24/E30: the mostly-idle tiers.
 NOFILE=$(ulimit -n)
 MAXTOTAL=$(((NOFILE - 1024) / 2))
 RUNS="/tmp/bench_wire_e20.json"
-for MODE in goroutine epoll; do
-	for TIER in $IDLE_TIERS; do
-		TOTAL=$TIER
-		[ "$TOTAL" -gt "$MAXTOTAL" ] && TOTAL=$MAXTOTAL
-		IDLE=$((TOTAL - ACTIVE))
-		if [ "$IDLE" -lt 0 ]; then
-			echo "bench_wire: skipping tier $TIER (fd limit $NOFILE allows only $MAXTOTAL in-process conns)" >&2
-			continue
-		fi
-		LBL="${MODE}-${TIER}conns"
-		echo "==== E24 $LBL: $ACTIVE active + $IDLE idle (accept-loop=$MODE) ===="
-		/tmp/loadgen.bench -spawn -accept-loop "$MODE" -conns "$ACTIVE" \
-			-idle-conns "$IDLE" -idle-interval "$IDLE_INTERVAL" \
-			-duration "$DURATION" -pipeline "$PIPELINE" -entries "$ENTRIES" \
-			-write-pct "$WRITE_PCT" -label "$LBL" -out "/tmp/bench_wire_${LBL}.json"
-		RUNS="$RUNS /tmp/bench_wire_${LBL}.json"
-	done
+for TIER in $IDLE_TIERS; do
+	TOTAL=$TIER
+	[ "$TOTAL" -gt "$MAXTOTAL" ] && TOTAL=$MAXTOTAL
+	IDLE=$((TOTAL - ACTIVE))
+	if [ "$IDLE" -lt 0 ]; then
+		echo "bench_wire: skipping tier $TIER (fd limit $NOFILE allows only $MAXTOTAL in-process conns)" >&2
+		continue
+	fi
+	LBL="idle-${TIER}conns"
+	echo "==== $LBL: $ACTIVE active + $IDLE idle ===="
+	/tmp/loadgen.bench -spawn -conns "$ACTIVE" \
+		-idle-conns "$IDLE" -idle-interval "$IDLE_INTERVAL" \
+		-duration "$DURATION" -pipeline "$PIPELINE" -entries "$ENTRIES" \
+		-write-pct "$WRITE_PCT" -label "$LBL" -out "/tmp/bench_wire_${LBL}.json"
+	RUNS="$RUNS /tmp/bench_wire_${LBL}.json"
 done
 
 # ---- merged record + side-by-side summary.
 # shellcheck disable=SC2086 # RUNS is a deliberate word-split file list
-/tmp/loadgen.bench -merge "$OUT" -rev "$REV" -experiment "E20+E24" $RUNS
+/tmp/loadgen.bench -merge "$OUT" -rev "$REV" -experiment "E20+E30" $RUNS
