@@ -3,17 +3,19 @@
 // BOOLEAN, INTEGER, ENUMERATED, OCTET STRING, NULL, SEQUENCE and SET, plus
 // application- and context-specific tagged forms.
 //
-// The package models a BER value as an Element tree. Encoding is
-// deterministic (definite lengths, minimal-length integers), and decoding is
-// strict: truncated or over-long inputs return errors rather than partial
-// values, which matters for a network-facing directory server.
+// Decoding yields an Element tree (Decode, or the zero-copy Reader and
+// Decoder) and is strict: truncated or over-long inputs return errors rather
+// than partial values, which matters for a network-facing directory server.
+// Encoding is deterministic (definite minimal lengths, minimal-length
+// integers) and comes in two forms with identical output: Element.AppendTo
+// re-encodes a tree, and the Append* functions with BeginConstructed /
+// EndConstructed let a caller append each element straight from its own
+// values, with no tree in between (the LDAP message encoder).
 package ber
 
 import (
 	"errors"
 	"fmt"
-	"io"
-	"sync"
 )
 
 // Class is the ASN.1 tag class of an element.
@@ -199,28 +201,36 @@ func (e *Element) Child(i int) (*Element, error) {
 	return e.Children[i], nil
 }
 
-func encodeInt(v int64) []byte {
-	// Minimal two's-complement encoding.
+// intLen returns the length of v's minimal two's-complement encoding.
+func intLen(v int64) int {
 	n := 1
 	for ; n < 8; n++ {
 		if v>>(uint(n)*8-1) == 0 || v>>(uint(n)*8-1) == -1 {
 			break
 		}
 	}
-	out := make([]byte, n)
-	for i := n - 1; i >= 0; i-- {
-		out[i] = byte(v)
-		v >>= 8
-	}
-	return out
+	return n
 }
 
-// Encoding is two-pass: a length pass computes every definite length, then
-// an append pass writes identifier, length and content into one buffer.
-// The old single-pass encoder built each constructed element's content by
-// concatenating freshly encoded children — O(depth) copies of every byte
-// and an allocation per element, which dominated the profile of streaming
-// search responses.
+func encodeInt(v int64) []byte {
+	return appendIntContent(make([]byte, 0, 8), v)
+}
+
+func appendIntContent(buf []byte, v int64) []byte {
+	for i := intLen(v) - 1; i >= 0; i-- {
+		buf = append(buf, byte(v>>(uint(i)*8)))
+	}
+	return buf
+}
+
+// Every encoder here writes minimal-length definite BER: a length below
+// 0x80 is one octet, a longer one is 0x80|k followed by k big-endian
+// octets, k as small as possible. Element trees encode in two passes, a
+// length pass (EncodedLen) then an append pass (AppendTo); callers that hold
+// their data in Go values skip the tree and append each element straight
+// from its fields with the Append* functions and BeginConstructed /
+// EndConstructed, which back-patch a constructed element's length once its
+// content is written. Both produce the same bytes for the same value.
 
 func appendLength(buf []byte, n int) []byte {
 	if n < 0x80 {
@@ -287,6 +297,67 @@ func identifierLen(tag uint32) int {
 	return l
 }
 
+// AppendHeader appends the identifier and the definite length n of an
+// element whose n content octets the caller appends next.
+func AppendHeader(buf []byte, class Class, tag uint32, constructed bool, n int) []byte {
+	return appendLength(appendIdentifier(buf, class, tag, constructed), n)
+}
+
+// AppendString appends a primitive element of the given class and tag
+// whose content is the bytes of s: an OCTET STRING, or an IMPLICIT-tagged
+// one such as an LDAP DN or filter attribute.
+func AppendString(buf []byte, class Class, tag uint32, s string) []byte {
+	return append(AppendHeader(buf, class, tag, false, len(s)), s...)
+}
+
+// AppendOctetString appends a universal OCTET STRING holding s.
+func AppendOctetString(buf []byte, s string) []byte {
+	return AppendString(buf, ClassUniversal, TagOctetString, s)
+}
+
+// AppendInt appends a primitive element of the given class and tag holding
+// v as a minimal two's-complement integer: a universal INTEGER or
+// ENUMERATED, or an IMPLICIT-tagged one.
+func AppendInt(buf []byte, class Class, tag uint32, v int64) []byte {
+	return appendIntContent(AppendHeader(buf, class, tag, false, intLen(v)), v)
+}
+
+// AppendBoolean appends a universal BOOLEAN holding v (0xFF for true).
+func AppendBoolean(buf []byte, v bool) []byte {
+	b := byte(0x00)
+	if v {
+		b = 0xFF
+	}
+	return append(buf, TagBoolean, 1, b)
+}
+
+// BeginConstructed appends the identifier of a constructed element and
+// reserves one octet for its length. The caller appends the content and
+// then calls EndConstructed with the returned mark.
+func BeginConstructed(buf []byte, class Class, tag uint32) ([]byte, int) {
+	buf = appendIdentifier(buf, class, tag, true)
+	mark := len(buf)
+	return append(buf, 0), mark
+}
+
+// EndConstructed writes the length of the constructed element begun at mark
+// (everything appended since). A length of 0x80 or more needs more than the
+// reserved octet, so the content moves up by the difference: one copy per
+// long element, and none for the short elements that dominate LDAP.
+func EndConstructed(buf []byte, mark int) []byte {
+	n := len(buf) - mark - 1
+	if n < 0x80 {
+		buf[mark] = byte(n)
+		return buf
+	}
+	extra := lengthLen(n) - 1
+	var pad [8]byte
+	buf = append(buf, pad[:extra]...)
+	copy(buf[mark+1+extra:], buf[mark+1:len(buf)-extra])
+	appendLength(buf[:mark], n) // overwrites the reserved octet and the gap
+	return buf
+}
+
 // contentLen returns the length of e's content octets.
 func (e *Element) contentLen() int {
 	if !e.Constructed {
@@ -306,8 +377,8 @@ func (e *Element) EncodedLen() int {
 }
 
 // AppendTo appends the complete BER encoding of e to buf and returns the
-// extended buffer. This is the allocation-free core of Encode/WriteTo;
-// callers with a reusable buffer (per-connection writers) call it directly.
+// extended buffer. It re-encodes decoded trees (the tests' fixed points, the
+// benchmark's BER layer); LDAP messages encode from their fields instead.
 func (e *Element) AppendTo(buf []byte) []byte {
 	buf = appendIdentifier(buf, e.Class, e.Tag, e.Constructed)
 	buf = appendLength(buf, e.contentLen())
@@ -323,27 +394,6 @@ func (e *Element) AppendTo(buf []byte) []byte {
 // Encode returns the complete BER encoding of e.
 func (e *Element) Encode() []byte {
 	return e.AppendTo(make([]byte, 0, e.EncodedLen()))
-}
-
-// encodeBufs pools WriteTo's scratch buffers. Buffers that grew beyond
-// maxPooledBuf are dropped so one huge element cannot pin memory.
-var encodeBufs = sync.Pool{New: func() any {
-	b := make([]byte, 0, 4096)
-	return &b
-}}
-
-const maxPooledBuf = 1 << 20
-
-// WriteTo encodes e to w in one Write, using a pooled buffer.
-func (e *Element) WriteTo(w io.Writer) (int64, error) {
-	bp := encodeBufs.Get().(*[]byte)
-	buf := e.AppendTo((*bp)[:0])
-	n, err := w.Write(buf)
-	if cap(buf) <= maxPooledBuf {
-		*bp = buf[:0]
-		encodeBufs.Put(bp)
-	}
-	return int64(n), err
 }
 
 // Decode parses a single element from the front of b, returning the element

@@ -304,3 +304,44 @@ func BenchmarkDecodeSearchRequestShape(b *testing.B) {
 		}
 	}
 }
+
+// TestAppendMatchesTree checks the append primitives against the element
+// tree encoder: content lengths on each side of the one-, two- and
+// three-octet length forms, nested constructed elements whose lengths cross
+// them too, integers of every width and high tag numbers.
+func TestAppendMatchesTree(t *testing.T) {
+	ints := []int64{0, 1, -1, 127, 128, -128, -129, 255, 256, math.MaxInt32, math.MinInt32, math.MaxInt64, math.MinInt64}
+	for _, n := range []int{0, 1, 126, 127, 128, 129, 255, 256, 257, 65535, 65536, 65537} {
+		s := string(bytes.Repeat([]byte{'x'}, n))
+		for _, tag := range []uint32{5, 30, 31, 200, 1 << 20} {
+			for _, v := range ints {
+				tree := NewSequence(
+					NewOctetString(s),
+					NewInteger(v),
+					NewBoolean(n%2 == 0),
+					ApplicationConstructed(tag,
+						ContextPrimitive(tag, []byte(s)),
+						NewSet(NewEnumerated(v)),
+						NewSequence()),
+					Tagged(ClassApplication, tag, NewInteger(v)),
+				)
+				buf, seq := BeginConstructed([]byte("prefix"), ClassUniversal, TagSequence)
+				buf = AppendOctetString(buf, s)
+				buf = AppendInt(buf, ClassUniversal, TagInteger, v)
+				buf = AppendBoolean(buf, n%2 == 0)
+				buf, app := BeginConstructed(buf, ClassApplication, tag)
+				buf = AppendString(buf, ClassContext, tag, s)
+				buf, set := BeginConstructed(buf, ClassUniversal, TagSet)
+				buf = AppendInt(buf, ClassUniversal, TagEnumerated, v)
+				buf = EndConstructed(buf, set)
+				buf = AppendHeader(buf, ClassUniversal, TagSequence, true, 0)
+				buf = EndConstructed(buf, app)
+				buf = AppendInt(buf, ClassApplication, tag, v)
+				buf = EndConstructed(buf, seq)
+				if want := append([]byte("prefix"), tree.Encode()...); !bytes.Equal(buf, want) {
+					t.Fatalf("length %d, tag %d, int %d: append primitives differ from the tree encoding", n, tag, v)
+				}
+			}
+		}
+	}
+}

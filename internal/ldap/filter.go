@@ -377,36 +377,43 @@ func (f *Filter) matchSubstring(v string) bool {
 	return true
 }
 
-// encode returns the BER encoding of the filter with LDAP context tags.
-func (f *Filter) encode() *ber.Element {
+// appendTo appends the BER encoding of the filter, with LDAP context tags.
+func (f *Filter) appendTo(buf []byte) []byte {
 	switch f.Kind {
-	case FilterAnd, FilterOr:
-		e := ber.ContextConstructed(uint32(f.Kind))
-		for _, c := range f.Children {
-			e.Append(c.encode())
+	case FilterAnd, FilterOr, FilterNot:
+		buf, mark := ber.BeginConstructed(buf, ber.ClassContext, uint32(f.Kind))
+		children := f.Children
+		if f.Kind == FilterNot {
+			children = children[:1]
 		}
-		return e
-	case FilterNot:
-		return ber.ContextConstructed(2, f.Children[0].encode())
+		for _, c := range children {
+			buf = c.appendTo(buf)
+		}
+		return ber.EndConstructed(buf, mark)
 	case FilterEquality, FilterGreaterOrEqual, FilterLessOrEqual, FilterApprox:
-		return ber.ContextConstructed(uint32(f.Kind),
-			ber.NewOctetString(f.Attr), ber.NewOctetString(f.Value))
+		buf, mark := ber.BeginConstructed(buf, ber.ClassContext, uint32(f.Kind))
+		buf = ber.AppendOctetString(buf, f.Attr)
+		buf = ber.AppendOctetString(buf, f.Value)
+		return ber.EndConstructed(buf, mark)
 	case FilterPresent:
-		return ber.ContextPrimitive(7, []byte(f.Attr))
+		return ber.AppendString(buf, ber.ClassContext, uint32(FilterPresent), f.Attr)
 	case FilterSubstrings:
-		subs := ber.NewSequence()
+		buf, mark := ber.BeginConstructed(buf, ber.ClassContext, uint32(FilterSubstrings))
+		buf = ber.AppendOctetString(buf, f.Attr)
+		buf, subs := ber.BeginConstructed(buf, ber.ClassUniversal, ber.TagSequence)
 		if f.Initial != "" {
-			subs.Append(ber.ContextPrimitive(0, []byte(f.Initial)))
+			buf = ber.AppendString(buf, ber.ClassContext, 0, f.Initial)
 		}
 		for _, a := range f.Any {
-			subs.Append(ber.ContextPrimitive(1, []byte(a)))
+			buf = ber.AppendString(buf, ber.ClassContext, 1, a)
 		}
 		if f.Final != "" {
-			subs.Append(ber.ContextPrimitive(2, []byte(f.Final)))
+			buf = ber.AppendString(buf, ber.ClassContext, 2, f.Final)
 		}
-		return ber.ContextConstructed(4, ber.NewOctetString(f.Attr), subs)
+		buf = ber.EndConstructed(buf, subs)
+		return ber.EndConstructed(buf, mark)
 	}
-	return ber.ContextConstructed(0)
+	return ber.AppendHeader(buf, ber.ClassContext, uint32(FilterAnd), true, 0)
 }
 
 func decodeFilter(e *ber.Element) (*Filter, error) {

@@ -3,6 +3,8 @@ package ldap
 import (
 	"testing"
 	"testing/quick"
+
+	"metacomm/internal/ber"
 )
 
 func entryGetter(attrs map[string][]string) func(string) []string {
@@ -149,7 +151,11 @@ func TestFilterBERRoundTrip(t *testing.T) {
 		{Kind: FilterGreaterOrEqual, Attr: "ext", Value: "100"},
 	}
 	for _, f := range filters {
-		dec, err := decodeFilter(f.encode())
+		el, err := ber.DecodeFull(f.appendTo(nil))
+		if err != nil {
+			t.Fatalf("BER decode %s: %v", f, err)
+		}
+		dec, err := decodeFilter(el)
 		if err != nil {
 			t.Fatalf("decode %s: %v", f, err)
 		}

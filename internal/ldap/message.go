@@ -15,6 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"sync"
 
 	"metacomm/internal/ber"
 )
@@ -100,7 +102,8 @@ const (
 
 // Op is one LDAP protocol operation (the protocolOp CHOICE).
 type Op interface {
-	encode() *ber.Element
+	// appendTo appends the operation's BER encoding to buf.
+	appendTo(buf []byte) []byte
 }
 
 // Message is a complete LDAPMessage envelope.
@@ -219,160 +222,211 @@ type ExtendedResponse struct {
 }
 
 // --- encoding ---
+//
+// Every operation appends its protocolOp straight from its fields into the
+// caller's buffer in one pass: no element tree, and a constructed element's
+// length is back-patched once its content is written (ber.BeginConstructed /
+// EndConstructed). encode_ref_test.go keeps the tree builders this replaced
+// as the reference the encoder must match byte for byte.
 
-func encodeResult(tag uint32, r Result, extra ...*ber.Element) *ber.Element {
-	e := ber.ApplicationConstructed(tag,
-		ber.NewEnumerated(int64(r.Code)),
-		ber.NewOctetString(r.MatchedDN),
-		ber.NewOctetString(r.Message))
-	return e.Append(extra...)
+func appendResultFields(buf []byte, r *Result) []byte {
+	buf = ber.AppendInt(buf, ber.ClassUniversal, ber.TagEnumerated, int64(r.Code))
+	buf = ber.AppendOctetString(buf, r.MatchedDN)
+	return ber.AppendOctetString(buf, r.Message)
 }
 
-func encodeAttribute(a Attribute) *ber.Element {
-	vals := ber.NewSet()
+func appendResult(buf []byte, tag uint32, r *Result) []byte {
+	buf, mark := ber.BeginConstructed(buf, ber.ClassApplication, tag)
+	buf = appendResultFields(buf, r)
+	return ber.EndConstructed(buf, mark)
+}
+
+func appendAttribute(buf []byte, a *Attribute) []byte {
+	buf, mark := ber.BeginConstructed(buf, ber.ClassUniversal, ber.TagSequence)
+	buf = ber.AppendOctetString(buf, a.Type)
+	buf, set := ber.BeginConstructed(buf, ber.ClassUniversal, ber.TagSet)
 	for _, v := range a.Values {
-		vals.Append(ber.NewOctetString(v))
+		buf = ber.AppendOctetString(buf, v)
 	}
-	return ber.NewSequence(ber.NewOctetString(a.Type), vals)
+	buf = ber.EndConstructed(buf, set)
+	return ber.EndConstructed(buf, mark)
 }
 
-func (r *BindRequest) encode() *ber.Element {
-	return ber.ApplicationConstructed(tagBindRequest,
-		ber.NewInteger(int64(r.Version)),
-		ber.NewOctetString(r.Name),
-		ber.ContextPrimitive(0, []byte(r.Password)))
-}
-
-func (*UnbindRequest) encode() *ber.Element {
-	return ber.ApplicationPrimitive(tagUnbindRequest, nil)
-}
-
-func (r *SearchRequest) encode() *ber.Element {
-	attrs := ber.NewSequence()
-	for _, a := range r.Attributes {
-		attrs.Append(ber.NewOctetString(a))
+// appendDNAttributes appends the shape AddRequest and SearchResultEntry
+// share: [APPLICATION tag] SEQUENCE { dn, SEQUENCE OF attribute }.
+func appendDNAttributes(buf []byte, tag uint32, dn string, attrs []Attribute) []byte {
+	buf, mark := ber.BeginConstructed(buf, ber.ClassApplication, tag)
+	buf = ber.AppendOctetString(buf, dn)
+	buf, list := ber.BeginConstructed(buf, ber.ClassUniversal, ber.TagSequence)
+	for i := range attrs {
+		buf = appendAttribute(buf, &attrs[i])
 	}
+	buf = ber.EndConstructed(buf, list)
+	return ber.EndConstructed(buf, mark)
+}
+
+func (r *BindRequest) appendTo(buf []byte) []byte {
+	buf, mark := ber.BeginConstructed(buf, ber.ClassApplication, tagBindRequest)
+	buf = ber.AppendInt(buf, ber.ClassUniversal, ber.TagInteger, int64(r.Version))
+	buf = ber.AppendOctetString(buf, r.Name)
+	buf = ber.AppendString(buf, ber.ClassContext, 0, r.Password)
+	return ber.EndConstructed(buf, mark)
+}
+
+func (*UnbindRequest) appendTo(buf []byte) []byte {
+	return ber.AppendHeader(buf, ber.ClassApplication, tagUnbindRequest, false, 0)
+}
+
+// defaultSearchFilter stands in for a SearchRequest without a filter.
+var defaultSearchFilter = Present("objectClass")
+
+func (r *SearchRequest) appendTo(buf []byte) []byte {
 	f := r.Filter
 	if f == nil {
-		f = Present("objectClass")
+		f = defaultSearchFilter
 	}
-	return ber.ApplicationConstructed(tagSearchRequest,
-		ber.NewOctetString(r.BaseDN),
-		ber.NewEnumerated(int64(r.Scope)),
-		ber.NewEnumerated(int64(r.DerefAliases)),
-		ber.NewInteger(int64(r.SizeLimit)),
-		ber.NewInteger(int64(r.TimeLimit)),
-		ber.NewBoolean(r.TypesOnly),
-		f.encode(),
-		attrs)
-}
-
-func (r *AddRequest) encode() *ber.Element {
-	attrs := ber.NewSequence()
+	buf, mark := ber.BeginConstructed(buf, ber.ClassApplication, tagSearchRequest)
+	buf = ber.AppendOctetString(buf, r.BaseDN)
+	buf = ber.AppendInt(buf, ber.ClassUniversal, ber.TagEnumerated, int64(r.Scope))
+	buf = ber.AppendInt(buf, ber.ClassUniversal, ber.TagEnumerated, int64(r.DerefAliases))
+	buf = ber.AppendInt(buf, ber.ClassUniversal, ber.TagInteger, int64(r.SizeLimit))
+	buf = ber.AppendInt(buf, ber.ClassUniversal, ber.TagInteger, int64(r.TimeLimit))
+	buf = ber.AppendBoolean(buf, r.TypesOnly)
+	buf = f.appendTo(buf)
+	buf, attrs := ber.BeginConstructed(buf, ber.ClassUniversal, ber.TagSequence)
 	for _, a := range r.Attributes {
-		attrs.Append(encodeAttribute(a))
+		buf = ber.AppendOctetString(buf, a)
 	}
-	return ber.ApplicationConstructed(tagAddRequest, ber.NewOctetString(r.DN), attrs)
+	buf = ber.EndConstructed(buf, attrs)
+	return ber.EndConstructed(buf, mark)
 }
 
-func (r *DeleteRequest) encode() *ber.Element {
-	return ber.ApplicationPrimitive(tagDelRequest, []byte(r.DN))
+func (r *AddRequest) appendTo(buf []byte) []byte {
+	return appendDNAttributes(buf, tagAddRequest, r.DN, r.Attributes)
 }
 
-func (r *ModifyRequest) encode() *ber.Element {
-	changes := ber.NewSequence()
-	for _, c := range r.Changes {
-		changes.Append(ber.NewSequence(
-			ber.NewEnumerated(int64(c.Op)),
-			encodeAttribute(c.Attribute)))
+func (r *DeleteRequest) appendTo(buf []byte) []byte {
+	return ber.AppendString(buf, ber.ClassApplication, tagDelRequest, r.DN)
+}
+
+func (r *ModifyRequest) appendTo(buf []byte) []byte {
+	buf, mark := ber.BeginConstructed(buf, ber.ClassApplication, tagModifyRequest)
+	buf = ber.AppendOctetString(buf, r.DN)
+	buf, changes := ber.BeginConstructed(buf, ber.ClassUniversal, ber.TagSequence)
+	for i := range r.Changes {
+		c := &r.Changes[i]
+		var change int // not :=, which would declare a buf local to the loop
+		buf, change = ber.BeginConstructed(buf, ber.ClassUniversal, ber.TagSequence)
+		buf = ber.AppendInt(buf, ber.ClassUniversal, ber.TagEnumerated, int64(c.Op))
+		buf = appendAttribute(buf, &c.Attribute)
+		buf = ber.EndConstructed(buf, change)
 	}
-	return ber.ApplicationConstructed(tagModifyRequest, ber.NewOctetString(r.DN), changes)
+	buf = ber.EndConstructed(buf, changes)
+	return ber.EndConstructed(buf, mark)
 }
 
-func (r *ModifyDNRequest) encode() *ber.Element {
-	e := ber.ApplicationConstructed(tagModifyDNRequest,
-		ber.NewOctetString(r.DN),
-		ber.NewOctetString(r.NewRDN),
-		ber.NewBoolean(r.DeleteOldRDN))
+func (r *ModifyDNRequest) appendTo(buf []byte) []byte {
+	buf, mark := ber.BeginConstructed(buf, ber.ClassApplication, tagModifyDNRequest)
+	buf = ber.AppendOctetString(buf, r.DN)
+	buf = ber.AppendOctetString(buf, r.NewRDN)
+	buf = ber.AppendBoolean(buf, r.DeleteOldRDN)
 	if r.NewSuperior != "" {
-		e.Append(ber.ContextPrimitive(0, []byte(r.NewSuperior)))
+		buf = ber.AppendString(buf, ber.ClassContext, 0, r.NewSuperior)
 	}
-	return e
+	return ber.EndConstructed(buf, mark)
 }
 
-func (r *CompareRequest) encode() *ber.Element {
-	return ber.ApplicationConstructed(tagCompareRequest,
-		ber.NewOctetString(r.DN),
-		ber.NewSequence(ber.NewOctetString(r.Attr), ber.NewOctetString(r.Value)))
+func (r *CompareRequest) appendTo(buf []byte) []byte {
+	buf, mark := ber.BeginConstructed(buf, ber.ClassApplication, tagCompareRequest)
+	buf = ber.AppendOctetString(buf, r.DN)
+	buf, ava := ber.BeginConstructed(buf, ber.ClassUniversal, ber.TagSequence)
+	buf = ber.AppendOctetString(buf, r.Attr)
+	buf = ber.AppendOctetString(buf, r.Value)
+	buf = ber.EndConstructed(buf, ava)
+	return ber.EndConstructed(buf, mark)
 }
 
-func (r *AbandonRequest) encode() *ber.Element {
-	return ber.Tagged(ber.ClassApplication, tagAbandonRequest, ber.NewInteger(int64(r.IDToAbandon)))
+func (r *AbandonRequest) appendTo(buf []byte) []byte {
+	return ber.AppendInt(buf, ber.ClassApplication, tagAbandonRequest, int64(r.IDToAbandon))
 }
 
-func (r *ExtendedRequest) encode() *ber.Element {
-	e := ber.ApplicationConstructed(tagExtendedRequest,
-		ber.ContextPrimitive(0, []byte(r.Name)))
+func (r *ExtendedRequest) appendTo(buf []byte) []byte {
+	buf, mark := ber.BeginConstructed(buf, ber.ClassApplication, tagExtendedRequest)
+	buf = ber.AppendString(buf, ber.ClassContext, 0, r.Name)
 	if r.Value != nil {
-		e.Append(ber.ContextPrimitive(1, r.Value))
+		buf = append(ber.AppendHeader(buf, ber.ClassContext, 1, false, len(r.Value)), r.Value...)
 	}
-	return e
+	return ber.EndConstructed(buf, mark)
 }
 
-func (r *BindResponse) encode() *ber.Element { return encodeResult(tagBindResponse, r.Result) }
-func (r *SearchResultDone) encode() *ber.Element {
-	return encodeResult(tagSearchDone, r.Result)
+func (r *BindResponse) appendTo(buf []byte) []byte {
+	return appendResult(buf, tagBindResponse, &r.Result)
 }
-func (r *ModifyResponse) encode() *ber.Element { return encodeResult(tagModifyResponse, r.Result) }
-func (r *AddResponse) encode() *ber.Element    { return encodeResult(tagAddResponse, r.Result) }
-func (r *DeleteResponse) encode() *ber.Element { return encodeResult(tagDelResponse, r.Result) }
-func (r *ModifyDNResponse) encode() *ber.Element {
-	return encodeResult(tagModifyDNResponse, r.Result)
+func (r *SearchResultDone) appendTo(buf []byte) []byte {
+	return appendResult(buf, tagSearchDone, &r.Result)
 }
-func (r *CompareResponse) encode() *ber.Element {
-	return encodeResult(tagCompareResponse, r.Result)
+func (r *ModifyResponse) appendTo(buf []byte) []byte {
+	return appendResult(buf, tagModifyResponse, &r.Result)
+}
+func (r *AddResponse) appendTo(buf []byte) []byte {
+	return appendResult(buf, tagAddResponse, &r.Result)
+}
+func (r *DeleteResponse) appendTo(buf []byte) []byte {
+	return appendResult(buf, tagDelResponse, &r.Result)
+}
+func (r *ModifyDNResponse) appendTo(buf []byte) []byte {
+	return appendResult(buf, tagModifyDNResponse, &r.Result)
+}
+func (r *CompareResponse) appendTo(buf []byte) []byte {
+	return appendResult(buf, tagCompareResponse, &r.Result)
 }
 
-func (r *SearchResultEntry) encode() *ber.Element {
-	attrs := ber.NewSequence()
-	for _, a := range r.Attributes {
-		attrs.Append(encodeAttribute(a))
-	}
-	return ber.ApplicationConstructed(tagSearchEntry, ber.NewOctetString(r.DN), attrs)
+func (r *SearchResultEntry) appendTo(buf []byte) []byte {
+	return appendDNAttributes(buf, tagSearchEntry, r.DN, r.Attributes)
 }
 
-func (r *ExtendedResponse) encode() *ber.Element {
-	var extra []*ber.Element
+func (r *ExtendedResponse) appendTo(buf []byte) []byte {
+	buf, mark := ber.BeginConstructed(buf, ber.ClassApplication, tagExtendedResponse)
+	buf = appendResultFields(buf, &r.Result)
 	if r.Name != "" {
-		extra = append(extra, ber.ContextPrimitive(10, []byte(r.Name)))
+		buf = ber.AppendString(buf, ber.ClassContext, 10, r.Name)
 	}
 	if r.Value != nil {
-		extra = append(extra, ber.ContextPrimitive(11, r.Value))
+		buf = append(ber.AppendHeader(buf, ber.ClassContext, 11, false, len(r.Value)), r.Value...)
 	}
-	return encodeResult(tagExtendedResponse, r.Result, extra...)
+	return ber.EndConstructed(buf, mark)
 }
 
-// Encode returns the wire encoding of the message.
-func (m *Message) Encode() []byte {
-	return m.element().Encode()
-}
-
-// AppendTo appends the encoded message to buf and returns the extended
-// buffer; callers with a long-lived write buffer avoid per-message
-// allocations.
+// AppendTo appends the encoded message, SEQUENCE { messageID, protocolOp },
+// to buf and returns the extended buffer. Into a buffer with room it
+// allocates nothing.
 func (m *Message) AppendTo(buf []byte) []byte {
-	return m.element().AppendTo(buf)
+	buf, mark := ber.BeginConstructed(buf, ber.ClassUniversal, ber.TagSequence)
+	buf = ber.AppendInt(buf, ber.ClassUniversal, ber.TagInteger, int64(m.ID))
+	buf = m.Op.appendTo(buf)
+	return ber.EndConstructed(buf, mark)
 }
+
+// writeBufs pools Write's encode buffers. Buffers that grew beyond
+// maxPooledWrite are dropped so one huge message cannot pin memory.
+var writeBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 4096)
+	return &b
+}}
+
+const maxPooledWrite = 1 << 20
 
 // Write writes the encoded message to w in one Write, using a pooled
 // encode buffer.
 func (m *Message) Write(w io.Writer) error {
-	_, err := m.element().WriteTo(w)
+	bp := writeBufs.Get().(*[]byte)
+	buf := m.AppendTo((*bp)[:0])
+	_, err := w.Write(buf)
+	if cap(buf) <= maxPooledWrite {
+		*bp = buf[:0]
+		writeBufs.Put(bp)
+	}
 	return err
-}
-
-func (m *Message) element() *ber.Element {
-	return ber.NewSequence(ber.NewInteger(int64(m.ID)), m.Op.encode())
 }
 
 // --- decoding ---
@@ -414,14 +468,24 @@ func (r *Reader) SetMaxMessageSize(n int) { r.br.SetMaxMessageSize(n) }
 // servers can coalesce responses: flush only before a read that would block.
 func (r *Reader) MessageBuffered() bool { return r.br.MessageBuffered() }
 
+// ErrMalformed marks a ReadMessage error for a complete BER element that is
+// not a valid LDAPMessage: a server answers it with the notice of
+// disconnection (RFC 4511 §4.1.1) and closes the connection.
+var ErrMalformed = errors.New("ldap: malformed message")
+
 // ReadMessage reads and decodes one LDAPMessage. The returned message owns
-// its memory.
+// its memory. A message that does not decode fails with an error wrapping
+// ErrMalformed.
 func (r *Reader) ReadMessage() (*Message, error) {
 	e, err := r.br.ReadElement()
 	if err != nil {
 		return nil, err
 	}
-	return DecodeMessage(e)
+	m, err := DecodeMessage(e)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+	}
+	return m, nil
 }
 
 // DecodeMessage decodes an LDAPMessage from a parsed BER element.
@@ -433,7 +497,7 @@ func DecodeMessage(e *ber.Element) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	id, err := idEl.Int()
+	id, err := messageID(idEl)
 	if err != nil {
 		return nil, fmt.Errorf("ldap: bad message id: %v", err)
 	}
@@ -448,7 +512,19 @@ func DecodeMessage(e *ber.Element) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Message{ID: int32(id), Op: op}, nil
+	return &Message{ID: id, Op: op}, nil
+}
+
+// messageID decodes a MessageID, which RFC 4511 bounds to 0..2^31-1.
+func messageID(e *ber.Element) (int32, error) {
+	id, err := e.Int()
+	if err != nil {
+		return 0, err
+	}
+	if id < 0 || id > math.MaxInt32 {
+		return 0, fmt.Errorf("%d outside 0..%d", id, math.MaxInt32)
+	}
+	return int32(id), nil
 }
 
 func decodeResult(e *ber.Element) (Result, error) {
@@ -653,11 +729,11 @@ func decodeOp(e *ber.Element) (Op, error) {
 		return &CompareRequest{DN: dnEl.Str(), Attr: attrEl.Str(), Value: valEl.Str()}, nil
 
 	case tagAbandonRequest:
-		id, err := e.Int()
+		id, err := messageID(e)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("ldap: bad abandoned message id: %v", err)
 		}
-		return &AbandonRequest{IDToAbandon: int32(id)}, nil
+		return &AbandonRequest{IDToAbandon: id}, nil
 
 	case tagExtendedRequest:
 		req := &ExtendedRequest{}

@@ -2,6 +2,7 @@ package ldap
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -199,6 +200,7 @@ func TestMessageRoundTripProperty(t *testing.T) {
 		if attr == "" {
 			attr = "a"
 		}
+		id &= math.MaxInt32 // message IDs are 0..2^31-1 (RFC 4511)
 		msg := &Message{ID: id, Op: &AddRequest{
 			DN:         dn,
 			Attributes: []Attribute{{Type: attr, Values: []string{v1, v2}}},

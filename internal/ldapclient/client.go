@@ -7,6 +7,7 @@ package ldapclient
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -115,7 +116,7 @@ func (c *Conn) roundTrip(op ldap.Op, onEntry func(*ldap.SearchResultEntry)) (lda
 		return nil, errors.New("ldapclient: connection closed")
 	}
 	id := c.nextID
-	c.nextID++
+	c.nextID = nextMessageID(id)
 	if err := (&ldap.Message{ID: id, Op: op}).Write(c.nc); err != nil {
 		return nil, err
 	}
@@ -252,11 +253,11 @@ func (c *Conn) Pipeline(ops []ldap.Op) []PipelineResult {
 		}
 		return out
 	}
-	firstID := c.nextID
+	want := c.nextID
 	var buf []byte
 	for _, op := range ops {
 		m := &ldap.Message{ID: c.nextID, Op: op}
-		c.nextID++
+		c.nextID = nextMessageID(c.nextID)
 		buf = m.AppendTo(buf)
 	}
 	if _, err := c.nc.Write(buf); err != nil {
@@ -266,7 +267,6 @@ func (c *Conn) Pipeline(ops []ldap.Op) []PipelineResult {
 		return out
 	}
 	for i := range ops {
-		want := firstID + int32(i)
 		for {
 			msg, err := c.rd.ReadMessage()
 			if err != nil {
@@ -290,8 +290,20 @@ func (c *Conn) Pipeline(ops []ldap.Op) []PipelineResult {
 			out[i].Err = resultErr(ops[i], msg.Op)
 			break
 		}
+		want = nextMessageID(want)
 	}
 	return out
+}
+
+// nextMessageID returns the message ID to use after id. RFC 4511 bounds IDs
+// to 0..2^31-1 and keeps 0 for unsolicited notices, and a server rejects
+// anything else, so after 2^31-1 a connection starts over at 1: an ID may be
+// reused once its operation has finished.
+func nextMessageID(id int32) int32 {
+	if id == math.MaxInt32 {
+		return 1
+	}
+	return id + 1
 }
 
 // resultErr extracts the op-level error from a final response, checking the

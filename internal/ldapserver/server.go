@@ -358,11 +358,17 @@ func (s *Server) serveRequests(c *serverConn, b *connBufs, woken bool) bool {
 			msg, err = rd.ReadMessage()
 		}
 		if err != nil {
-			if errors.Is(err, ber.ErrTooLarge) {
-				// Refuse the oversized message with LDAP's unsolicited
-				// notice (message ID 0), then drop the connection; nothing
-				// was allocated or read for the declared length.
-				s.wire.oversizeRejected.Add(1)
+			oversize := errors.Is(err, ber.ErrTooLarge)
+			if oversize || errors.Is(err, ldap.ErrMalformed) {
+				// Refuse an oversized or malformed message with LDAP's
+				// unsolicited notice (message ID 0), then drop the
+				// connection; nothing was allocated or read for an
+				// oversized message's declared length.
+				if oversize {
+					s.wire.oversizeRejected.Add(1)
+				} else {
+					s.logf("ldapserver: %s: read: %v", conn.RemoteAddr, err)
+				}
 				_ = write(&ldap.Message{ID: 0, Op: &ldap.ExtendedResponse{
 					Name: ldap.NoticeOfDisconnection,
 					Result: ldap.Result{Code: ldap.ResultProtocolError,

@@ -101,6 +101,40 @@ func TestOversizeDefaultLimit(t *testing.T) {
 	}
 }
 
+// TestMalformedRequestGetsNotice sends a complete message whose ID is out of
+// RFC 4511's range (2^31) and expects the notice of disconnection with
+// protocolError, then a closed connection, rather than an answer to a
+// wrapped ID or a silent close.
+func TestMalformedRequestGetsNotice(t *testing.T) {
+	srv, addr := startWireServer(t, 0)
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	// SEQUENCE { INTEGER 2^31, [APPLICATION 10] "cn=x" } — a delete request.
+	msg := []byte{0x30, 0x0d, 0x02, 0x05, 0x00, 0x80, 0x00, 0x00, 0x00, 0x4a, 0x04, 'c', 'n', '=', 'x'}
+	if _, err := nc.Write(msg); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	rd := ldap.NewReader(nc)
+	notice, err := rd.ReadMessage()
+	if err != nil {
+		t.Fatalf("reading unsolicited notice: %v", err)
+	}
+	ext, ok := notice.Op.(*ldap.ExtendedResponse)
+	if notice.ID != 0 || !ok || ext.Name != ldap.NoticeOfDisconnection || ext.Result.Code != ldap.ResultProtocolError {
+		t.Fatalf("got id %d %#v, want the notice of disconnection with protocolError", notice.ID, notice.Op)
+	}
+	if _, err := rd.ReadMessage(); err != io.EOF {
+		t.Errorf("read after notice = %v, want EOF", err)
+	}
+	if got := srv.WireStats().OversizeRejected; got != 0 {
+		t.Errorf("OversizeRejected = %d, want 0", got)
+	}
+}
+
 // TestPipelinedResponsesCoalesce sends a burst of requests in one client
 // write and checks the server answered them in far fewer buffer flushes than
 // responses — the per-connection pipelining payoff.

@@ -131,7 +131,8 @@ func (g *Gateway) Search(c *ldapserver.Conn, req *ldap.SearchRequest, send func(
 		return resultFromErr(err)
 	}
 	for _, e := range entries {
-		if sendErr := send(&ldap.SearchResultEntry{DN: e.DN, Attributes: e.Attributes}); sendErr != nil {
+		// The two types have the same fields; the backend built e afresh.
+		if sendErr := send((*ldap.SearchResultEntry)(e)); sendErr != nil {
 			return ldap.Result{Code: ldap.ResultOther, Message: sendErr.Error()}
 		}
 	}

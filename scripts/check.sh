@@ -73,6 +73,14 @@ if git grep -nE 'Accept[L]oop|accept-[l]oop|Reactor[S]tats|new[R]eactor' -- '*.g
 	echo "check.sh: a deleted serving path is back (see the matches above)" >&2
 	exit 1
 fi
+# LDAP messages encode in one pass, straight from their fields: the element
+# tree builders live only in internal/ldap/encode_ref_test.go, as the
+# reference. No non-test file in internal/ldap may declare one again or
+# build a message's tree (letters bracketed as above).
+if git grep -nE 'encod[e]\(\) \*ber\.Element|\.elemen[t]\(\)' -- 'internal/ldap/*.go' ':!*_test.go'; then
+	echo "check.sh: an element-tree LDAP encoder is back (see the matches above)" >&2
+	exit 1
+fi
 # Multi-master replication smoke: a two-node mesh, a write accepted on each
 # side, and a conflicting same-DN write — both trees must converge.
 go test -run TestMultiMasterWritesAnywhereConverge -count=1 .
@@ -87,6 +95,7 @@ go test -run TestLegacyJSONJournalMigratesToV2 -count=1 ./internal/directory/
 # every run without turning check into a fuzzing campaign. The checked-in
 # corpora under testdata/fuzz replay as ordinary tests in `go test`.
 go test -fuzz=FuzzDecode -fuzztime=10s ./internal/ber/
+go test -fuzz=FuzzMessageEncode -fuzztime=10s ./internal/ldap/
 go test -fuzz=FuzzParse -fuzztime=10s ./internal/lexpress/
 go test -fuzz=FuzzCompilePattern -fuzztime=10s ./internal/lexpress/
 go test -fuzz=FuzzPatternMatch -fuzztime=10s ./internal/lexpress/
