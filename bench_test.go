@@ -21,7 +21,6 @@ import (
 	"metacomm/internal/ldap"
 	"metacomm/internal/ldapclient"
 	"metacomm/internal/lexpress"
-	"metacomm/internal/um"
 )
 
 // benchSystem boots a quiet system for benchmarking.
@@ -664,7 +663,7 @@ func BenchmarkE17SyncSnapshotDelta(b *testing.B) {
 	run := func(b *testing.B, useSnapshot bool) {
 		s := benchSystem(b, metacomm.Config{SyncWorkers: 8, DeviceSessions: 4})
 		if !useSnapshot {
-			s.UM.SetSnapshot(nil)
+			s.UM.SetSnapshotRange(nil)
 		}
 		// Seed the device under the suppressed session and populate the
 		// directory with one initial pass.
@@ -752,99 +751,70 @@ func BenchmarkE17SyncSnapshotDelta(b *testing.B) {
 // write path. Each iteration is one flap cycle: take the PBX down, push a
 // burst of LDAP updates touching a slice of the population (all of which
 // the directory must accept without stalling on per-update device
-// timeouts), bring the PBX back, and measure the time to convergence. The
-// Outbox arm drains its journaled backlog in the background with per-entry
-// ordering — work proportional to the backlog; the LegacyErrorLog arm is
-// the seed behavior — failures land in ou=errors and convergence needs a
-// synchronization pass over the whole population. Zero lost updates is
-// asserted in both arms.
+// failures), bring the PBX back, and measure the time to convergence: the
+// outbox drains its queued backlog in the background with per-entry
+// ordering, at the shipped retry policy — work proportional to the
+// backlog, not to the population. Zero lost updates is asserted.
 func BenchmarkE18OutageDegradation(b *testing.B) {
 	const population = 1000
 	const burst = 100 // people updated during the outage
-	run := func(b *testing.B, useOutbox bool) {
-		cfg := metacomm.Config{}
-		if useOutbox {
-			cfg.Outbox = metacomm.OutboxConfig{
-				Enable:      true,
-				BaseBackoff: time.Millisecond,
-				MaxBackoff:  10 * time.Millisecond,
+	s := benchSystem(b, metacomm.Config{})
+	c := benchClient(b, s)
+	dns := provision(b, c, population)
+
+	var acceptNs, convergeNs int64
+	accepted := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.PBX.Store.SetDown(true)
+
+		// Outage phase: the burst must be accepted while the device is
+		// unreachable.
+		start := time.Now()
+		for j, dn := range dns[:burst] {
+			room := fmt.Sprintf("F%d-%d", i, j)
+			err := c.Modify(dn, []ldap.Change{{Op: ldap.ModReplace,
+				Attribute: ldap.Attribute{Type: "roomNumber", Values: []string{room}}}})
+			if err != nil {
+				b.Fatalf("update rejected during outage: %v", err)
 			}
+			accepted++
 		}
-		s := benchSystem(b, cfg)
-		c := benchClient(b, s)
-		dns := provision(b, c, population)
+		acceptNs += int64(time.Since(start))
 
-		var acceptNs, convergeNs int64
-		accepted := 0
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.PBX.Store.SetDown(true)
-
-			// Outage phase: the burst must be accepted while the device is
-			// unreachable.
-			start := time.Now()
-			for j, dn := range dns[:burst] {
-				room := fmt.Sprintf("F%d-%d", i, j)
-				err := c.Modify(dn, []ldap.Change{{Op: ldap.ModReplace,
-					Attribute: ldap.Attribute{Type: "roomNumber", Values: []string{room}}}})
-				if err != nil {
-					b.Fatalf("update rejected during outage: %v", err)
-				}
-				accepted++
+		// Recovery phase: time until every station matches the directory.
+		s.PBX.Store.SetDown(false)
+		start = time.Now()
+		deadline := time.Now().Add(30 * time.Second)
+		for s.UM.OutboxBacklog() != 0 {
+			if time.Now().After(deadline) {
+				b.Fatalf("backlog stuck at %d", s.UM.OutboxBacklog())
 			}
-			acceptNs += int64(time.Since(start))
-
-			// Recovery phase: time until every station matches the directory.
-			s.PBX.Store.SetDown(false)
-			start = time.Now()
-			if useOutbox {
-				deadline := time.Now().Add(30 * time.Second)
-				for s.UM.OutboxBacklog() != 0 {
-					if time.Now().After(deadline) {
-						b.Fatalf("backlog stuck at %d", s.UM.OutboxBacklog())
-					}
-					time.Sleep(200 * time.Microsecond)
-				}
-			} else {
-				if _, err := s.UM.SynchronizeWithPolicy("pbx", um.DirectoryWins); err != nil {
-					b.Fatal(err)
-				}
-			}
-			convergeNs += int64(time.Since(start))
-
-			// Zero lost updates: every accepted write reached the device.
-			for j := range dns[:burst] {
-				want := fmt.Sprintf("F%d-%d", i, j)
-				st, err := s.PBX.Store.Get(fmt.Sprintf("2-%04d", j))
-				if err != nil {
-					b.Fatalf("station %04d: %v", j, err)
-				}
-				if got := st.First("room"); got != want {
-					b.Fatalf("station %04d lost an update: room=%q want %q", j, got, want)
-				}
-			}
-			if !useOutbox {
-				// The legacy arm logs one error per failed apply; clear them
-				// so iterations stay comparable.
-				if _, err := s.UM.ClearErrors(); err != nil {
-					b.Fatal(err)
-				}
-			}
+			time.Sleep(200 * time.Microsecond)
 		}
-		b.StopTimer()
-		n := float64(b.N)
-		b.ReportMetric(float64(accepted)/(float64(acceptNs)/1e9), "accepted-updates/s")
-		b.ReportMetric(float64(convergeNs)/n/1e6, "converge-ms")
-		if useOutbox {
-			for _, obs := range s.UM.OutboxStats() {
-				if obs.Device == "pbx" && obs.Dropped != 0 {
-					b.Fatalf("outbox dropped %d updates", obs.Dropped)
-				}
+		convergeNs += int64(time.Since(start))
+
+		// Zero lost updates: every accepted write reached the device.
+		for j := range dns[:burst] {
+			want := fmt.Sprintf("F%d-%d", i, j)
+			st, err := s.PBX.Store.Get(fmt.Sprintf("2-%04d", j))
+			if err != nil {
+				b.Fatalf("station %04d: %v", j, err)
+			}
+			if got := st.First("room"); got != want {
+				b.Fatalf("station %04d lost an update: room=%q want %q", j, got, want)
 			}
 		}
 	}
-	b.Run("Outbox", func(b *testing.B) { run(b, true) })
-	b.Run("LegacyErrorLog", func(b *testing.B) { run(b, false) })
+	b.StopTimer()
+	n := float64(b.N)
+	b.ReportMetric(float64(accepted)/(float64(acceptNs)/1e9), "accepted-updates/s")
+	b.ReportMetric(float64(convergeNs)/n/1e6, "converge-ms")
+	for _, obs := range s.UM.OutboxStats() {
+		if obs.Device == "pbx" && obs.Dropped != 0 {
+			b.Fatalf("outbox dropped %d updates", obs.Dropped)
+		}
+	}
 }
 
 // BenchmarkE19DurableWrites measures the group-commit write pipeline

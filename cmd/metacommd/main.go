@@ -54,10 +54,7 @@ func main() {
 		devSess  = flag.Int("device-sessions", 0, "pooled administration sessions per device (0 = single session)")
 		devLat   = flag.Duration("device-latency", 0, "simulated per-update processing time in the device simulators")
 		maxMsg   = flag.Int("max-message", 0, "max LDAP request message size in bytes on both listeners (0 = 4 MB default)")
-		outbox   = flag.String("outbox-dir", "", "journal directory for the durable device-update outbox (empty disables)")
-		obRetry  = flag.Int("outbox-retries", 0, "outbox replay attempts before targeted repair (0 = default)")
-		obBack   = flag.Duration("outbox-backoff", 0, "outbox base retry backoff, doubled per attempt (0 = default)")
-		dataDir  = flag.String("data", "", "data directory for the durable directory journal (empty = in-memory)")
+		dataDir  = flag.String("data", "", "data directory for the directory journal and the device outbox journals (empty = in-memory)")
 		ditSegs  = flag.Int("dit-segments", 0, "DN-hash DIT segment count, each with its own lock and journal (0 = default)")
 		replAddr = flag.String("replication", "", "replication stream listen address for read replicas and multi-master peers (empty disables)")
 		nodeID   = flag.Uint("node-id", 0, "this node's replication identity, distinct across the mesh (required with -peers)")
@@ -86,22 +83,17 @@ func main() {
 	}
 	peerList := splitPeers(*peers)
 	sys, err := metacomm.Start(metacomm.Config{
-		Suffix:         *suffix,
-		DirectoryAddr:  *dirAddr,
-		LTAPAddr:       *ltap,
-		PBXAddr:        *pbxAddr,
-		MPAddr:         *mpAddr,
-		UMShards:       *umShards,
-		UMQueueDepth:   *umQueue,
-		SyncWorkers:    *syncWk,
-		DeviceSessions: *devSess,
-		DeviceLatency:  *devLat,
-		MaxMessageSize: *maxMsg,
-		Outbox: metacomm.OutboxConfig{
-			Dir:         *outbox,
-			MaxRetries:  *obRetry,
-			BaseBackoff: *obBack,
-		},
+		Suffix:          *suffix,
+		DirectoryAddr:   *dirAddr,
+		LTAPAddr:        *ltap,
+		PBXAddr:         *pbxAddr,
+		MPAddr:          *mpAddr,
+		UMShards:        *umShards,
+		UMQueueDepth:    *umQueue,
+		SyncWorkers:     *syncWk,
+		DeviceSessions:  *devSess,
+		DeviceLatency:   *devLat,
+		MaxMessageSize:  *maxMsg,
 		InitialSync:     true,
 		DataDir:         *dataDir,
 		DITSegments:     *ditSegs,
@@ -176,9 +168,9 @@ func main() {
 			float64(ss.BulkNs)/1e6, float64(ss.QuiesceNs)/1e6, ss.DeltaRecords, ss.DeltaReplayed, ss.RecordsPerSec())
 	}
 	for _, obs := range sys.UM.OutboxStats() {
-		fmt.Printf("outbox %s: breaker=%s backlog=%d enqueued=%d drained=%d deferred=%d retries=%d repairs=%d dropped=%d trips=%d\n",
+		fmt.Printf("outbox %s: breaker=%s backlog=%d enqueued=%d drained=%d deferred=%d retries=%d repairs=%d dropped=%d trips=%d torn-tails=%d\n",
 			obs.Device, obs.Breaker, obs.Backlog, obs.Enqueued, obs.Drained, obs.Deferred,
-			obs.Retries, obs.Repairs, obs.Dropped, obs.Trips)
+			obs.Retries, obs.Repairs, obs.Dropped, obs.Trips, obs.TornTails)
 	}
 	if js := sys.DIT.JournalStats(); js.Batches > 0 {
 		fmt.Printf("journal: sync=%s commits=%d groups=%d mean-group=%.1f max-group=%d fsyncs=%d bytes=%d mean-commit=%s torn-tails=%d\n",

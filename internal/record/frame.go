@@ -2,8 +2,9 @@
 // CRC frame, the op-tagged record payload inside it, and the per-stream
 // attribute-name cache. The directory journal, compaction and the
 // replication stream all write and read exactly these bytes, so a record
-// costs the same to decode on a cold start as on a joining peer, and there
-// is one torn-tail rule and one corruption rule in the repository.
+// costs the same to decode on a cold start as on a joining peer; the Update
+// Manager's device outbox journals its own payloads in the same frames, so
+// there is one torn-tail rule and one corruption rule in the repository.
 //
 // Frame layout (all integers little-endian, lengths uvarint):
 //
@@ -14,7 +15,9 @@
 //
 // Payload tags below ControlBase are update records (record.go). A stream
 // built on the frame defines its own control payloads at or above it
-// (internal/replica: hello, resume, snapshot-begin/-end, change, refuse).
+// (internal/replica: hello, resume, snapshot-begin/-end, change, refuse;
+// internal/um's outbox journal: update, ack) and decodes them with the
+// exported string, string-list and Cursor primitives.
 //
 // The marker makes every frame self-describing, so one journal file may
 // hold JSON lines followed by frames (a journal appended to after a format
@@ -153,17 +156,23 @@ func readUvarint(r *bufio.Reader) (uint64, int, error) {
 	}
 }
 
-// cursor walks a payload during decode with bounds checking.
-type cursor struct {
+// Cursor walks a payload during decode with bounds checking: a read past
+// the end is an error, never a panic.
+type Cursor struct {
 	b   []byte
 	off int
 }
 
+// NewCursor starts a cursor at the first byte of p.
+func NewCursor(p []byte) Cursor { return Cursor{b: p} }
+
 var errTruncated = errors.New("payload truncated")
 
-func (c *cursor) rem() int { return len(c.b) - c.off }
+// Rem is the number of unread payload bytes.
+func (c *Cursor) Rem() int { return len(c.b) - c.off }
 
-func (c *cursor) byte() (byte, error) {
+// Byte reads one byte.
+func (c *Cursor) Byte() (byte, error) {
 	if c.off >= len(c.b) {
 		return 0, errTruncated
 	}
@@ -172,7 +181,8 @@ func (c *cursor) byte() (byte, error) {
 	return b, nil
 }
 
-func (c *cursor) uvarint() (uint64, error) {
+// Uvarint reads one unsigned varint.
+func (c *Cursor) Uvarint() (uint64, error) {
 	v, n := binary.Uvarint(c.b[c.off:])
 	if n <= 0 {
 		return 0, errTruncated
@@ -181,33 +191,34 @@ func (c *cursor) uvarint() (uint64, error) {
 	return v, nil
 }
 
-// count reads an element count and rejects counts that could not fit in the
+// Count reads an element count and rejects counts that could not fit in the
 // remaining payload (each element costs at least min bytes), so a corrupt
 // count cannot drive a huge allocation.
-func (c *cursor) count(min int) (int, error) {
-	v, err := c.uvarint()
+func (c *Cursor) Count(min int) (int, error) {
+	v, err := c.Uvarint()
 	if err != nil {
 		return 0, err
 	}
-	if v > uint64(c.rem()/min) {
+	if v > uint64(c.Rem()/min) {
 		return 0, fmt.Errorf("count %d exceeds remaining payload", v)
 	}
 	return int(v), nil
 }
 
-func (c *cursor) str() (string, error) {
-	b, err := c.strBytes()
+// Str reads one AppendString field.
+func (c *Cursor) Str() (string, error) {
+	b, err := c.StrBytes()
 	return string(b), err
 }
 
-// strBytes returns the next string's bytes without copying; the slice
+// StrBytes returns the next string's bytes without copying; the slice
 // aliases the payload buffer and is only valid until the next frame.
-func (c *cursor) strBytes() ([]byte, error) {
-	n, err := c.uvarint()
+func (c *Cursor) StrBytes() ([]byte, error) {
+	n, err := c.Uvarint()
 	if err != nil {
 		return nil, err
 	}
-	if n > uint64(c.rem()) {
+	if n > uint64(c.Rem()) {
 		return nil, errTruncated
 	}
 	b := c.b[c.off : c.off+int(n)]
@@ -215,8 +226,9 @@ func (c *cursor) strBytes() ([]byte, error) {
 	return b, nil
 }
 
-func (c *cursor) values() ([]string, error) {
-	n, err := c.count(1)
+// Values reads one AppendValues list. An empty list reads as nil.
+func (c *Cursor) Values() ([]string, error) {
+	n, err := c.Count(1)
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +237,7 @@ func (c *cursor) values() ([]string, error) {
 	}
 	vals := make([]string, 0, n)
 	for i := 0; i < n; i++ {
-		v, err := c.str()
+		v, err := c.Str()
 		if err != nil {
 			return nil, err
 		}

@@ -105,16 +105,17 @@ func (e *Encoder) AppendRecord(dst []byte, rec *Record) ([]byte, error) {
 	return AppendFrame(dst, p), nil
 }
 
-func appendString(p []byte, s string) []byte {
+// AppendString appends s as uvarint length + bytes (read by Cursor.Str).
+func AppendString(p []byte, s string) []byte {
 	p = binary.AppendUvarint(p, uint64(len(s)))
 	return append(p, s...)
 }
 
-// appendValues appends a counted string list.
-func appendValues(p []byte, vals []string) []byte {
+// AppendValues appends a counted string list (read by Cursor.Values).
+func AppendValues(p []byte, vals []string) []byte {
 	p = binary.AppendUvarint(p, uint64(len(vals)))
 	for _, v := range vals {
-		p = appendString(p, v)
+		p = AppendString(p, v)
 	}
 	return p
 }
@@ -138,16 +139,16 @@ func appendPayload(p []byte, rec *Record) ([]byte, error) {
 	}
 	p = append(p, tag)
 	p = binary.AppendUvarint(p, rec.Seq)
-	p = appendString(p, rec.DN)
+	p = AppendString(p, rec.DN)
 	if tag == opTagEntry {
-		p = appendString(p, rec.NormKey)
+		p = AppendString(p, rec.NormKey)
 	}
 	switch tag {
 	case opTagAdd, opTagEntry:
 		p = binary.AppendUvarint(p, uint64(len(rec.Fields)))
 		for i := range rec.Fields {
-			p = appendString(p, rec.Fields[i].Display)
-			p = appendValues(p, rec.Fields[i].Vals)
+			p = AppendString(p, rec.Fields[i].Display)
+			p = AppendValues(p, rec.Fields[i].Vals)
 		}
 	case opTagModify:
 		p = binary.AppendUvarint(p, uint64(len(rec.Changes)))
@@ -165,11 +166,11 @@ func appendPayload(p []byte, rec *Record) ([]byte, error) {
 				return p, fmt.Errorf("record: unknown change op %q", c.Op)
 			}
 			p = append(p, ct)
-			p = appendString(p, c.Attr)
-			p = appendValues(p, c.Values)
+			p = AppendString(p, c.Attr)
+			p = AppendValues(p, c.Values)
 		}
 	case opTagModifyDN:
-		p = appendString(p, rec.NewRDN)
+		p = AppendString(p, rec.NewRDN)
 		if rec.DeleteOldRDN {
 			p = append(p, 1)
 		} else {
@@ -228,15 +229,15 @@ func (d *Decoder) ReadRecord(r *bufio.Reader, rec *Record) (int, error) {
 // add/entry records decode straight into Fields with interned names.
 func (d *Decoder) Decode(p []byte, rec *Record) error {
 	*rec = Record{}
-	c := cursor{b: p}
-	tag, err := c.byte()
+	c := NewCursor(p)
+	tag, err := c.Byte()
 	if err != nil {
 		return err
 	}
-	if rec.Seq, err = c.uvarint(); err != nil {
+	if rec.Seq, err = c.Uvarint(); err != nil {
 		return err
 	}
-	if rec.DN, err = c.str(); err != nil {
+	if rec.DN, err = c.Str(); err != nil {
 		return err
 	}
 	switch tag {
@@ -245,22 +246,22 @@ func (d *Decoder) Decode(p []byte, rec *Record) error {
 			rec.Op = "add"
 		} else {
 			rec.Op = "entry"
-			if rec.NormKey, err = c.str(); err != nil {
+			if rec.NormKey, err = c.Str(); err != nil {
 				return err
 			}
 		}
 		// name + empty value list = 2 bytes minimum per attribute.
-		na, err := c.count(2)
+		na, err := c.Count(2)
 		if err != nil {
 			return err
 		}
 		rec.Fields = make([]Field, 0, na)
 		for i := 0; i < na; i++ {
-			name, err := c.strBytes()
+			name, err := c.StrBytes()
 			if err != nil {
 				return err
 			}
-			vals, err := c.values()
+			vals, err := c.Values()
 			if err != nil {
 				return err
 			}
@@ -272,13 +273,13 @@ func (d *Decoder) Decode(p []byte, rec *Record) error {
 	case opTagModify:
 		rec.Op = "modify"
 		// op byte + attr + empty value list = 3 bytes minimum per change.
-		nc, err := c.count(3)
+		nc, err := c.Count(3)
 		if err != nil {
 			return err
 		}
 		rec.Changes = make([]Change, 0, nc)
 		for i := 0; i < nc; i++ {
-			ct, err := c.byte()
+			ct, err := c.Byte()
 			if err != nil {
 				return err
 			}
@@ -293,11 +294,11 @@ func (d *Decoder) Decode(p []byte, rec *Record) error {
 			default:
 				return fmt.Errorf("unknown change tag %d", ct)
 			}
-			attr, err := c.str()
+			attr, err := c.Str()
 			if err != nil {
 				return err
 			}
-			vals, err := c.values()
+			vals, err := c.Values()
 			if err != nil {
 				return err
 			}
@@ -305,10 +306,10 @@ func (d *Decoder) Decode(p []byte, rec *Record) error {
 		}
 	case opTagModifyDN:
 		rec.Op = "modifydn"
-		if rec.NewRDN, err = c.str(); err != nil {
+		if rec.NewRDN, err = c.Str(); err != nil {
 			return err
 		}
-		b, err := c.byte()
+		b, err := c.Byte()
 		if err != nil {
 			return err
 		}
@@ -316,13 +317,13 @@ func (d *Decoder) Decode(p []byte, rec *Record) error {
 	default:
 		return fmt.Errorf("unknown op tag %d", tag)
 	}
-	if c.rem() > 0 {
+	if c.Rem() > 0 {
 		// Optional trailing origin stamp (absent on pre-replication frames).
-		os, err := c.uvarint()
+		os, err := c.Uvarint()
 		if err != nil {
 			return err
 		}
-		on, err := c.uvarint()
+		on, err := c.Uvarint()
 		if err != nil {
 			return err
 		}
@@ -331,8 +332,8 @@ func (d *Decoder) Decode(p []byte, rec *Record) error {
 		}
 		rec.OriginSeq, rec.OriginNode = os, uint32(on)
 	}
-	if c.rem() != 0 {
-		return fmt.Errorf("%d trailing payload bytes", c.rem())
+	if c.Rem() != 0 {
+		return fmt.Errorf("%d trailing payload bytes", c.Rem())
 	}
 	return nil
 }

@@ -8,7 +8,11 @@ package um_test
 // injected deterministically.
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -21,6 +25,7 @@ import (
 	"metacomm/internal/ldapclient"
 	"metacomm/internal/lexpress"
 	"metacomm/internal/ltap"
+	"metacomm/internal/record"
 	"metacomm/internal/um"
 )
 
@@ -151,9 +156,20 @@ type outboxEnv struct {
 	mp  *device.Store // nil unless twoDevices
 }
 
-// startOutboxUM builds the harness. The stores and dir may be shared with a
-// previous instance (the crash/restart test reuses them).
-func startOutboxUM(t *testing.T, cfg um.Config, dir *fakeDir, pbx, mp *device.Store) *outboxEnv {
+// startOutboxUM builds and starts the harness. The stores and dir may be
+// shared with a previous instance (the crash/restart tests reuse them).
+func startOutboxUM(t *testing.T, cfg um.Config, pol um.OutboxPolicy, dir *fakeDir, pbx, mp *device.Store) *outboxEnv {
+	t.Helper()
+	u := newOutboxUM(t, cfg, pol, dir, pbx, mp)
+	if err := u.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(u.Stop)
+	return &outboxEnv{u: u, dir: dir, pbx: pbx, mp: mp}
+}
+
+// newOutboxUM builds the harness's UM without starting it.
+func newOutboxUM(t *testing.T, cfg um.Config, pol um.OutboxPolicy, dir *fakeDir, pbx, mp *device.Store) *um.UM {
 	t.Helper()
 	if cfg.Suffix == nil {
 		cfg.Suffix = dn.MustParse("o=Lucent")
@@ -178,21 +194,18 @@ func startOutboxUM(t *testing.T, cfg um.Config, dir *fakeDir, pbx, mp *device.St
 		}
 		u.AddDevice(f)
 	}
-	if err := u.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(u.Stop)
-	return &outboxEnv{u: u, dir: dir, pbx: pbx, mp: mp}
+	u.SetOutboxPolicy(pol)
+	return u
 }
 
-// fastOutbox is an outbox config with millisecond-scale backoffs so the
+// fastOutbox is an outbox policy with millisecond-scale backoffs so the
 // tests converge quickly.
-func fastOutbox() um.OutboxConfig {
-	return um.OutboxConfig{
-		Enable:      true,
-		MaxRetries:  6,
-		BaseBackoff: 2 * time.Millisecond,
-		MaxBackoff:  20 * time.Millisecond,
+func fastOutbox() um.OutboxPolicy {
+	return um.OutboxPolicy{
+		MaxRetries:       6,
+		BaseBackoff:      2 * time.Millisecond,
+		MaxBackoff:       20 * time.Millisecond,
+		BreakerThreshold: 3,
 	}
 }
 
@@ -298,7 +311,7 @@ func TestOutboxFaultScenarios(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := newFakeDir()
 			pbx := device.NewStore("pbx", "Extension")
-			e := startOutboxUM(t, um.Config{Shards: 2, Outbox: fastOutbox()}, dir, pbx, nil)
+			e := startOutboxUM(t, um.Config{Shards: 2}, fastOutbox(), dir, pbx, nil)
 			dnStr := e.addPerson(t, "Fault Case", "2-9001")
 			waitUntil(t, time.Second, func() bool { return deviceRoom(pbx, "2-9001") != "<err:device: record not found>" },
 				"initial add to reach the device")
@@ -343,7 +356,7 @@ func TestOutboxPartialMultiDeviceApply(t *testing.T) {
 	dir := newFakeDir()
 	pbx := device.NewStore("pbx", "Extension")
 	mp := device.NewStore("msgplat", "Mailbox")
-	e := startOutboxUM(t, um.Config{Shards: 2, Outbox: fastOutbox()}, dir, pbx, mp)
+	e := startOutboxUM(t, um.Config{Shards: 2}, fastOutbox(), dir, pbx, mp)
 
 	// A person with an extension gets a derived mailbox through the closure,
 	// so updates fan out to both devices.
@@ -383,10 +396,8 @@ func TestOutboxCrashRestartDrainsJournal(t *testing.T) {
 	journalDir := t.TempDir()
 	dir := newFakeDir()
 	pbx := device.NewStore("pbx", "Extension")
-	cfg := fastOutbox()
-	cfg.Dir = journalDir
 
-	e := startOutboxUM(t, um.Config{Shards: 2, Outbox: cfg}, dir, pbx, nil)
+	e := startOutboxUM(t, um.Config{Shards: 2, OutboxDir: journalDir}, fastOutbox(), dir, pbx, nil)
 	dnStr := e.addPerson(t, "Crash Person", "2-9003")
 	waitUntil(t, time.Second, func() bool { return deviceRoom(pbx, "2-9003") != "<err:device: record not found>" },
 		"initial add")
@@ -400,7 +411,7 @@ func TestOutboxCrashRestartDrainsJournal(t *testing.T) {
 	e.u.Stop() // "crash": the journal holds two unacknowledged updates
 
 	pbx.SetDown(false)
-	e2 := startOutboxUM(t, um.Config{Shards: 2, Outbox: cfg}, dir, pbx, nil)
+	e2 := startOutboxUM(t, um.Config{Shards: 2, OutboxDir: journalDir}, fastOutbox(), dir, pbx, nil)
 	waitUntil(t, 5*time.Second, func() bool {
 		return e2.u.OutboxBacklog() == 0 && deviceRoom(pbx, "2-9003") == "R-12"
 	}, "journaled backlog to drain after restart")
@@ -416,9 +427,9 @@ func TestOutboxCrashRestartDrainsJournal(t *testing.T) {
 func TestOutboxBreakerTransitions(t *testing.T) {
 	dir := newFakeDir()
 	pbx := device.NewStore("pbx", "Extension")
-	cfg := fastOutbox()
-	cfg.BreakerThreshold = 2
-	e := startOutboxUM(t, um.Config{Shards: 2, Outbox: cfg}, dir, pbx, nil)
+	pol := fastOutbox()
+	pol.BreakerThreshold = 2
+	e := startOutboxUM(t, um.Config{Shards: 2}, pol, dir, pbx, nil)
 	dnStr := e.addPerson(t, "Breaker Person", "2-9005")
 	waitUntil(t, time.Second, func() bool { return deviceRoom(pbx, "2-9005") != "<err:device: record not found>" },
 		"initial add")
@@ -455,7 +466,7 @@ func TestOutboxBreakerTransitions(t *testing.T) {
 func TestOutboxRepairDeletesVanishedEntry(t *testing.T) {
 	dir := newFakeDir()
 	pbx := device.NewStore("pbx", "Extension")
-	e := startOutboxUM(t, um.Config{Shards: 2, Outbox: fastOutbox()}, dir, pbx, nil)
+	e := startOutboxUM(t, um.Config{Shards: 2}, fastOutbox(), dir, pbx, nil)
 	dnStr := e.addPerson(t, "Vanish Person", "2-9009")
 	waitUntil(t, time.Second, func() bool { return deviceRoom(pbx, "2-9009") != "<err:device: record not found>" },
 		"initial add")
@@ -479,5 +490,114 @@ func TestOutboxRepairDeletesVanishedEntry(t *testing.T) {
 	}, "repair to delete the stale device record")
 	if st := pbxStats(t, e.u); st.Repairs == 0 {
 		t.Error("no repair recorded")
+	}
+}
+
+// journalOutage journals three roomNumber updates for one person while the
+// PBX is down (R-1, R-2, R-3, in that order) and stops the UM, leaving
+// three unacknowledged update frames in <journalDir>/pbx.outbox.
+func journalOutage(t *testing.T, journalDir string, dir *fakeDir, pbx *device.Store) string {
+	t.Helper()
+	e := startOutboxUM(t, um.Config{Shards: 2, OutboxDir: journalDir}, fastOutbox(), dir, pbx, nil)
+	dnStr := e.addPerson(t, "Journal Person", "2-9011")
+	waitUntil(t, time.Second, func() bool { return deviceRoom(pbx, "2-9011") != "<err:device: record not found>" },
+		"initial add")
+	pbx.SetDown(true)
+	for _, room := range []string{"R-1", "R-2", "R-3"} {
+		e.setRoom(t, dnStr, room)
+	}
+	if got := pbxStats(t, e.u).Backlog; got != 3 {
+		t.Fatalf("backlog before stop = %d, want 3", got)
+	}
+	e.u.Stop()
+	pbx.SetDown(false)
+	return filepath.Join(journalDir, "pbx.outbox")
+}
+
+// frameEnds returns the end offset of every complete frame in the file.
+func frameEnds(t *testing.T, path string) []int {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []int
+	var fr record.Reader
+	r := bufio.NewReader(bytes.NewReader(data))
+	off := 0
+	for off < len(data) {
+		_, n, err := fr.ReadFrame(r)
+		if err != nil {
+			t.Fatalf("frame at offset %d: %v", off, err)
+		}
+		off += n
+		ends = append(ends, off)
+	}
+	return ends
+}
+
+// TestOutboxCorruptRecordRefused: a complete journal frame that fails its
+// checksum is corruption, not a torn tail. The frames after it cannot be
+// trusted to be the only ones lost, so Start refuses and names the file
+// instead of silently dropping them.
+func TestOutboxCorruptRecordRefused(t *testing.T) {
+	journalDir := t.TempDir()
+	dir := newFakeDir()
+	pbx := device.NewStore("pbx", "Extension")
+	path := journalOutage(t, journalDir, dir, pbx)
+
+	ends := frameEnds(t, path)
+	if len(ends) != 3 {
+		t.Fatalf("journal holds %d frames, want 3", len(ends))
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[(ends[0]+ends[1])/2] ^= 0xff // one byte inside the second frame
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	u := newOutboxUM(t, um.Config{Shards: 2, OutboxDir: journalDir}, fastOutbox(), dir, pbx, nil)
+	t.Cleanup(u.Stop)
+	err = u.Start()
+	if err == nil {
+		t.Fatal("Start accepted a journal with a corrupt frame")
+	}
+	if !strings.Contains(err.Error(), path) {
+		t.Errorf("Start error does not name %s: %v", path, err)
+	}
+}
+
+// TestOutboxTornTailTruncated: a final frame cut short by a crash
+// mid-append is truncated, counted and the records before it still drain,
+// in order.
+func TestOutboxTornTailTruncated(t *testing.T) {
+	journalDir := t.TempDir()
+	dir := newFakeDir()
+	pbx := device.NewStore("pbx", "Extension")
+	path := journalOutage(t, journalDir, dir, pbx)
+
+	ends := frameEnds(t, path)
+	if err := os.Truncate(path, int64(ends[2]-3)); err != nil { // R-3 loses its checksum
+		t.Fatal(err)
+	}
+
+	e := startOutboxUM(t, um.Config{Shards: 2, OutboxDir: journalDir}, fastOutbox(), dir, pbx, nil)
+	st := pbxStats(t, e.u)
+	if st.TornTails != 1 {
+		t.Errorf("TornTails = %d, want 1", st.TornTails)
+	}
+	waitUntil(t, 5*time.Second, func() bool {
+		// Drained moves after the record's ack frame is written.
+		return pbxStats(t, e.u).Drained == 2 && deviceRoom(pbx, "2-9011") == "R-2"
+	}, "the two complete records to drain")
+	if st := pbxStats(t, e.u); st.Backlog != 0 || st.Dropped != 0 {
+		t.Errorf("Backlog = %d, Dropped = %d after the drain, want 0/0", st.Backlog, st.Dropped)
+	}
+	// The acks were appended at a frame boundary, not after the torn bytes.
+	if n := len(frameEnds(t, path)); n != 4 {
+		t.Errorf("journal holds %d frames after the drain, want 2 updates + 2 acks", n)
 	}
 }

@@ -21,9 +21,9 @@ import (
 func TestConcurrentStatsReadersUnderLoad(t *testing.T) {
 	dir := newFakeDir()
 	pbx := device.NewStore("pbx", "Extension")
-	cfg := fastOutbox()
-	cfg.BreakerThreshold = 2
-	e := startOutboxUM(t, um.Config{Shards: 4, Outbox: cfg}, dir, pbx, nil)
+	pol := fastOutbox()
+	pol.BreakerThreshold = 2
+	e := startOutboxUM(t, um.Config{Shards: 4}, pol, dir, pbx, nil)
 
 	const writers = 6
 	const updates = 40

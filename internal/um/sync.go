@@ -86,7 +86,7 @@ const (
 // used to populate the directory initially and to recover after the device
 // and the directory have been disconnected and updates have been lost.
 //
-// With a snapshot source configured (Config.Snapshot) the pass runs in two
+// With a snapshot source configured (Config.SnapshotRange) the pass runs in two
 // phases: the bulk reconciliation runs UNQUIESCED against a consistent COW
 // directory snapshot and the device dump, with a pool of Config.SyncWorkers
 // workers sharded by entry key; a brief quiesced delta phase then replays
@@ -185,7 +185,7 @@ func (u *UM) synchronize(devs []*syncDevice) {
 	if eng.workers < 1 {
 		eng.workers = 1
 	}
-	if u.cfg.Snapshot != nil || u.cfg.SnapshotRange != nil {
+	if u.cfg.SnapshotRange != nil {
 		eng.snapshotMode = true
 		eng.runSnapshotDelta()
 	} else {
@@ -301,28 +301,17 @@ func (e *syncEngine) runFullQuiesce() {
 // only the updates that landed meanwhile.
 func (e *syncEngine) runSnapshotDelta() {
 	bulkStart := time.Now()
-	var (
-		persons []*syncPerson
-		seq     uint64
-		changes <-chan directory.UpdateRecord
-		cancel  func()
-	)
-	if e.u.cfg.SnapshotRange != nil {
-		// Streaming cut: person entries are filtered and converted as the
-		// directory segments stream by, so the full directory is never
-		// materialized — non-person entries cost one visit, not a slot in a
-		// population-sized snapshot slice.
-		seq, changes, cancel = e.u.cfg.SnapshotRange(syncChangelogBuffer, func(en directory.Entry) bool {
-			if ce := personEntry(en); ce != nil {
-				persons = append(persons, ce)
-			}
-			return true
-		})
-	} else {
-		var snapshot []directory.Entry
-		snapshot, seq, changes, cancel = e.u.cfg.Snapshot(syncChangelogBuffer)
-		persons = personEntries(snapshot)
-	}
+	// Streaming cut: person entries are filtered and converted as the
+	// directory segments stream by, so the full directory is never
+	// materialized — non-person entries cost one visit, not a slot in a
+	// population-sized snapshot slice.
+	var persons []*syncPerson
+	seq, changes, cancel := e.u.cfg.SnapshotRange(syncChangelogBuffer, func(en directory.Entry) bool {
+		if ce := personEntry(en); ce != nil {
+			persons = append(persons, ce)
+		}
+		return true
+	})
 	defer cancel()
 	e.runBulkEntries(persons)
 	bulkNs := uint64(time.Since(bulkStart))
@@ -426,23 +415,11 @@ func (e *syncEngine) loadDirectory() ([]*ldapclient.Entry, error) {
 	return entries, nil
 }
 
-// personEntries converts the snapshot's person entries to the forms the
-// reconciliation speaks. The snapshot shares the tree's immutable attribute
-// values; nothing here may mutate them.
-func personEntries(snapshot []directory.Entry) []*syncPerson {
-	var out []*syncPerson
-	for _, se := range snapshot {
-		if p := personEntry(se); p != nil {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// personEntry converts one snapshot entry, or returns nil for non-person
-// entries (the streaming path's per-entry filter). The entry and the record
+// personEntry converts one snapshot entry to the forms the reconciliation
+// speaks, or returns nil for non-person entries. The entry and the record
 // are built in one walk, the record keyed by the snapshot's interned lowered
-// keys.
+// keys. The snapshot shares the tree's immutable attribute values; nothing
+// here may mutate them.
 func personEntry(se directory.Entry) *syncPerson {
 	if se.Attrs == nil {
 		return nil

@@ -306,7 +306,7 @@ func TestSyncSnapshotStatsPopulated(t *testing.T) {
 // runs fully quiesced, as the paper describes.
 func TestSyncLegacyFallbackWhenNoSnapshot(t *testing.T) {
 	s := startSystem(t)
-	s.UM.SetSnapshot(nil)
+	s.UM.SetSnapshotRange(nil)
 	rec := lexpress.NewRecord()
 	rec.Set("extension", "2-0920")
 	rec.Set("name", "Fallback One")

@@ -21,9 +21,10 @@
 // write-write consistency to the meta-directory: every repository
 // converges to its entry's serialization order.
 //
-// Failures at a device abort that device's update, log an error entry into
-// the directory under the errors container, and notify the administrator;
-// the UM also provides the synchronization facility used for initial
+// A failed device apply aborts that device's update only and goes to the
+// device's outbox (outbox.go), which replays it; just what the outbox
+// cannot repair is logged under the errors container for the administrator.
+// The UM also provides the synchronization facility used for initial
 // population and for recovery after disconnection, executed in isolation
 // under LTAP quiesce.
 package um
@@ -76,24 +77,18 @@ type Config struct {
 	// discipline), so per-entry ordering holds within a pass. 0 means
 	// DefaultSyncWorkers.
 	SyncWorkers int
-	// Snapshot, when set, provides a consistent COW directory snapshot plus
-	// a changelog subscription starting right after it (the DIT's
-	// SnapshotAndSubscribeSeq). With it, synchronization runs its bulk
-	// phase UNQUISCED against the snapshot and only quiesces to replay the
-	// delta; without it, the whole pass runs under the quiesce as before.
-	Snapshot func(buffer int) ([]directory.Entry, uint64, <-chan directory.UpdateRecord, func())
-	// SnapshotRange is the streaming form of Snapshot (the DIT's
-	// SnapshotRangeAndSubscribeSeq): the same exact cut, but entries are
-	// streamed to the visit callback instead of materialized into one
-	// slice, so the bulk pass's transient footprint is the person entries
-	// it keeps, not the whole directory. Preferred over Snapshot when both
-	// are set.
+	// SnapshotRange, when set, provides a consistent COW directory snapshot,
+	// streamed to the visit callback, plus a changelog subscription starting
+	// right after it (the DIT's SnapshotRangeAndSubscribeSeq). With it,
+	// synchronization runs its bulk phase UNQUIESCED against the snapshot
+	// and only quiesces to replay the delta; without it, the whole pass
+	// runs under the quiesce.
 	SnapshotRange func(buffer int, visit func(directory.Entry) bool) (uint64, <-chan directory.UpdateRecord, func())
-	// Outbox configures the durable device-update outbox with per-device
-	// circuit breakers (see OutboxConfig). The zero value disables it:
-	// failed device applies are logged as error entries and lost at that
-	// device until the next synchronization pass.
-	Outbox OutboxConfig
+	// OutboxDir is where the device-update outbox journals its queues, one
+	// <device>.outbox file of record frames per device, so a backlog
+	// survives a restart ("" keeps the queues in memory). A failed device
+	// apply always goes to the outbox; see outbox.go.
+	OutboxDir string
 	// Log receives operational messages (nil = discard).
 	Log *log.Logger
 }
@@ -161,9 +156,8 @@ type UM struct {
 	wg     sync.WaitGroup
 	stop   chan struct{}
 
-	// outbox is the durable device-update retry facility (nil when
-	// Config.Outbox leaves it disabled). The pointer is set in New and
-	// never changes, so lock-free reads are safe.
+	// outbox queues and replays failed device applies. The pointer is set
+	// in New and never changes, so lock-free reads are safe.
 	outbox *outbox
 
 	// engMu guards the drain barrier: pending counts admitted-but-
@@ -251,9 +245,7 @@ func New(cfg Config) (*UM, error) {
 	u.ldapDirect = &filter.LDAPFilter{
 		Client: cfg.Backing, Suffix: cfg.Suffix, PeopleBase: cfg.PeopleBase, RDNAttr: mcschema.AttrCN,
 	}
-	if cfg.Outbox.Enabled() {
-		u.outbox = newOutbox(u, cfg.Outbox)
-	}
+	u.outbox = newOutbox(u, cfg.OutboxDir)
 	return u, nil
 }
 
@@ -278,14 +270,12 @@ func (u *UM) SetGateway(g *ltap.Gateway) {
 // rename crash window through it).
 func (u *UM) LDAPViaLTAP() *filter.LDAPFilter { return u.ldapLTAP }
 
-// SetSnapshot installs (or, with nil, removes) the directory snapshot
+// SetSnapshotRange installs (or, with nil, removes) the directory snapshot
 // source the synchronization engine uses for its unquiesced bulk phase.
-// Installing or removing it also removes a configured streaming source
-// (SnapshotRange), so SetSnapshot(nil) forces the legacy full-quiesce pass
-// — benchmarks and tests use that for comparison.
-func (u *UM) SetSnapshot(fn func(int) ([]directory.Entry, uint64, <-chan directory.UpdateRecord, func())) {
-	u.cfg.Snapshot = fn
-	u.cfg.SnapshotRange = nil
+// SetSnapshotRange(nil) forces the full-quiesce pass — benchmarks and tests
+// use that for comparison.
+func (u *UM) SetSnapshotRange(fn func(int, func(directory.Entry) bool) (uint64, <-chan directory.UpdateRecord, func())) {
+	u.cfg.SnapshotRange = fn
 }
 
 // LastSyncStats returns the most recent synchronization stats per device.
@@ -348,10 +338,8 @@ func (u *UM) Start() error {
 	if err := u.ensureErrorContainer(); err != nil {
 		return err
 	}
-	if u.outbox != nil {
-		if err := u.outbox.start(); err != nil {
-			return err
-		}
+	if err := u.outbox.start(); err != nil {
+		return err
 	}
 	for _, q := range u.shards {
 		u.wg.Add(1)
@@ -387,9 +375,7 @@ func (u *UM) Stop() {
 	u.engCond.Broadcast()
 	u.engMu.Unlock()
 	u.wg.Wait()
-	if u.outbox != nil {
-		u.outbox.close()
-	}
+	u.outbox.close()
 }
 
 // shardFor routes an update to its shard: all updates for one entry hash to
@@ -690,13 +676,13 @@ func (u *UM) process(ev ltap.Event) ldap.Result {
 // collected in filter-registration order for determinism.
 func (u *UM) fanOut(desc lexpress.Descriptor, ldapNew lexpress.Record) lexpress.Record {
 	type target struct {
-		f      *filter.DeviceFilter
+		d      *deviceOutbox
 		tu     *lexpress.TargetUpdate
 		stored lexpress.Record
 		err    error
 	}
 	targets := make([]*target, 0, len(u.filters))
-	for _, f := range u.filters {
+	for i, f := range u.filters {
 		tu, err := f.Translate(desc)
 		if err != nil {
 			u.logError("ldap", f.Name(), desc.Op.String(), desc.Key, err)
@@ -709,13 +695,14 @@ func (u *UM) fanOut(desc lexpress.Descriptor, ldapNew lexpress.Record) lexpress.
 		if tu.Conditional {
 			u.reapplies.Add(1)
 		}
-		if u.outbox != nil && u.outbox.deferUpdate(f, desc.Key, tu) {
+		d := u.outbox.devices[i]
+		if d.deferUpdate(desc.Key, tu) {
 			// Open breaker or backlog ahead of this entry: the update is
-			// journaled behind the device's outbox instead of applied here
+			// queued behind the device's outbox instead of applied here
 			// (the drainer replays it in order once the device answers).
 			continue
 		}
-		targets = append(targets, &target{f: f, tu: tu})
+		targets = append(targets, &target{d: d, tu: tu})
 	}
 	if len(targets) > 1 {
 		var wg sync.WaitGroup
@@ -723,26 +710,25 @@ func (u *UM) fanOut(desc lexpress.Descriptor, ldapNew lexpress.Record) lexpress.
 			wg.Add(1)
 			go func(t *target) {
 				defer wg.Done()
-				t.stored, t.err = u.applyDevice(t.f, t.tu)
+				t.stored, t.err = t.d.f.Apply(t.tu)
 			}(t)
 		}
 		wg.Wait()
 	} else if len(targets) == 1 {
 		t := targets[0]
-		t.stored, t.err = u.applyDevice(t.f, t.tu)
+		t.stored, t.err = t.d.f.Apply(t.tu)
 	}
 	generated := lexpress.NewRecord()
 	for _, t := range targets {
 		if t.err != nil {
-			if u.outbox != nil && u.outbox.handleFailure(t.f, desc.Key, t.tu, t.err) {
-				continue // journaled for retry; no error entry unless dropped
-			}
-			u.logError("ldap", t.f.Name(), t.tu.Op.String(), t.tu.Key, t.err)
+			// Queued for replay; an error entry appears only if the
+			// outbox gives the update up.
+			t.d.handleFailure(desc.Key, t.tu, t.err)
 			continue
 		}
 		// Device-generated information (paper §5.5): fields the device
 		// invented flow back to the directory only, after all devices.
-		u.collectGenerated(t.f, t.tu, t.stored, ldapNew, generated)
+		u.collectGenerated(t.d.f, t.tu, t.stored, ldapNew, generated)
 	}
 	return generated
 }

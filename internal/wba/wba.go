@@ -43,8 +43,8 @@ type Server struct {
 	// pass (um.LastSyncStats).
 	SyncStats func() map[string]um.SyncStats
 	// OutboxStats, when set, feeds the device-outbox section of the status
-	// page: per-device circuit-breaker state, journal backlog, and
-	// retry/drain counters (um.OutboxStats; empty when disabled).
+	// page: per-device circuit-breaker state, backlog, and retry/drain
+	// counters (um.OutboxStats).
 	OutboxStats func() []um.OutboxStats
 	// JournalStats, when set, feeds the directory-journal section of the
 	// status page: group-commit batching, fsync amortization, and commit
@@ -410,11 +410,11 @@ var statusTmpl = template.Must(template.Must(pageTmpl.Clone()).Parse(`{{define "
 <h2>Device outbox / circuit breakers</h2>
 <table border="1" cellpadding="4">
 <tr><th>Device</th><th>Breaker</th><th>Backlog</th><th>Enqueued</th><th>Drained</th>
-<th>Deferred</th><th>Retries</th><th>Repairs</th><th>Dropped</th><th>Trips</th></tr>
+<th>Deferred</th><th>Retries</th><th>Repairs</th><th>Dropped</th><th>Trips</th><th>Torn tails</th></tr>
 {{range .Outboxes}}
 <tr><td>{{.Device}}</td><td>{{.Breaker}}</td><td>{{.Backlog}}</td><td>{{.Enqueued}}</td>
 <td>{{.Drained}}</td><td>{{.Deferred}}</td><td>{{.Retries}}</td><td>{{.Repairs}}</td>
-<td>{{.Dropped}}</td><td>{{.Trips}}</td></tr>
+<td>{{.Dropped}}</td><td>{{.Trips}}</td><td>{{.TornTails}}</td></tr>
 {{end}}
 </table>
 {{end}}

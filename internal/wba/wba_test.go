@@ -7,6 +7,7 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+	"time"
 
 	metacomm "metacomm"
 	"metacomm/internal/wba"
@@ -134,15 +135,23 @@ func TestWBAPersonPageAndDelete(t *testing.T) {
 	}
 }
 
+// TestWBAErrorsPage: an update the messaging platform persistently
+// rejects — the fan-out apply, the outbox's replay and its repair all fail
+// with the device up — is given up and shows on the errors page.
 func TestWBAErrorsPage(t *testing.T) {
 	sys, srv := startWBA(t)
-	sys.MP.Store.FailNext("disk full")
+	sys.MP.Store.SetFailRate(1, 1)
 	postForm(t, srv.URL+"/save", url.Values{
 		"cn": {"Err Person"}, "sn": {"Person"},
 		"definityExtension": {"2-5800"}, "mailboxNumber": {"5800"},
 	})
-	body := get(t, srv.URL+"/errors")
-	if !strings.Contains(body, "disk full") || !strings.Contains(body, "msgplat") {
+	var body string
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		if body = get(t, srv.URL+"/errors"); strings.Contains(body, "msgplat") {
+			break
+		}
+	}
+	if !strings.Contains(body, "injected transient failure") || !strings.Contains(body, "msgplat") {
 		t.Errorf("errors page:\n%s", body)
 	}
 }
@@ -208,9 +217,7 @@ func TestStatusPageShowsGateway(t *testing.T) {
 }
 
 func TestStatusPageShowsOutboxBreakers(t *testing.T) {
-	sys, err := metacomm.Start(metacomm.Config{
-		Outbox: metacomm.OutboxConfig{Enable: true},
-	})
+	sys, err := metacomm.Start(metacomm.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,10 +50,6 @@ import (
 	"metacomm/internal/um"
 )
 
-// OutboxConfig configures the UM's durable device-update outbox (see
-// um.OutboxConfig for the fields).
-type OutboxConfig = um.OutboxConfig
-
 // Config configures a System. The zero value works: every listener binds a
 // loopback ephemeral port and both device simulators start embedded.
 type Config struct {
@@ -95,13 +91,6 @@ type Config struct {
 	// outside clients: the node's own device-originated updates reach the
 	// gateway in process, whatever their size.
 	MaxMessageSize int
-	// Outbox configures the Update Manager's durable device-update outbox
-	// with per-device circuit breakers: failed (or timed-out) device
-	// applies are journaled and replayed with backoff once the device
-	// answers again, falling back to a targeted per-entry repair sync on
-	// conflicts. The zero value disables it — failed device applies are
-	// logged as error entries only (the paper's §4.4 behavior).
-	Outbox OutboxConfig
 	// ExtraMappings is additional lexpress source compiled into the
 	// standard telecom library (for new data sources).
 	ExtraMappings string
@@ -123,7 +112,9 @@ type Config struct {
 	Peers []string
 	// DataDir, when set, makes the directory durable: committed updates
 	// are write-ahead journaled to <DataDir>/directory.journal and
-	// replayed on the next Start. Empty keeps the directory in memory.
+	// replayed on the next Start, and the Update Manager's device outbox
+	// journals failed device applies to <DataDir>/outbox, so a backlog
+	// drains after a restart. Empty keeps both in memory.
 	// The journal group-commits (a write is acked once its group is
 	// fsynced) and compacts itself: while serving once a segment's file
 	// holds twice its live state, and at Close.
@@ -341,6 +332,10 @@ func Start(cfg Config) (*System, error) {
 	// in-process client of the DIT: all three share this process, so
 	// neither pays a wire round trip to the directory's own listener.
 	local := ldapserver.NewDITClient(s.DIT)
+	outboxDir := ""
+	if cfg.DataDir != "" {
+		outboxDir = filepath.Join(cfg.DataDir, "outbox")
+	}
 	manager, err := um.New(um.Config{
 		Suffix:      suffix,
 		Backing:     local,
@@ -349,14 +344,10 @@ func Start(cfg Config) (*System, error) {
 		QueueDepth:  cfg.UMQueueDepth,
 		SyncWorkers: cfg.SyncWorkers,
 		// Snapshot+delta synchronization: the bulk pass reconciles against
-		// a consistent COW snapshot while updates keep flowing; only the
-		// delta replay quiesces.
-		Snapshot: s.DIT.SnapshotAndSubscribeSeq,
-		// Preferred streaming form of the same cut: the bulk pass filters
-		// person entries as segments stream by instead of materializing the
-		// whole directory.
+		// a consistent COW snapshot, streamed segment by segment, while
+		// updates keep flowing; only the delta replay quiesces.
 		SnapshotRange: s.DIT.SnapshotRangeAndSubscribeSeq,
-		Outbox:        cfg.Outbox,
+		OutboxDir:     outboxDir,
 		Log:           cfg.Logger,
 	})
 	if err != nil {

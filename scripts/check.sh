@@ -9,13 +9,14 @@ tmp="${TMPDIR:-/tmp}"
 
 # The engine's ordering/quiesce guarantees, the DIT's copy-on-write search
 # snapshots, the filters' converge path, the device stores' fault
-# injection under the outbox drainer, the wire path's borrowed-buffer decode,
+# injection under the outbox drainer (and the two end-to-end soaks, with
+# devices flapping under the shipped outbox policy), the wire path's borrowed-buffer decode,
 # pipelined flushing and idle connections parking and waking (the idle
 # sweep racing arriving requests), and the replication mesh are concurrency
 # properties; their tests run under the race detector.
 race() {
 	go test -race -count=1 ./internal/directory/... ./internal/um/... ./internal/ltap/... ./internal/filter/... ./internal/device/... ./internal/ber/... ./internal/ldapserver/... ./internal/ldapclient/... ./internal/replica/... ./internal/record/...
-	go test -race -count=1 -run 'TestNoComponentReadsItsOwnDirectoryOverTCP|TestLTAPRefusesModifyDNWithNewSuperior|TestUMCallsTheGatewayInProcess|TestDeviceUpdateLargerThanMaxMessageSize|TestQuiesceDrainsShardedEngine' .
+	go test -race -count=1 -run 'TestNoComponentReadsItsOwnDirectoryOverTCP|TestLTAPRefusesModifyDNWithNewSuperior|TestUMCallsTheGatewayInProcess|TestDeviceUpdateLargerThanMaxMessageSize|TestQuiesceDrainsShardedEngine|TestDeviceFlapChaosSoak|TestConvergenceSoak' .
 }
 if [ "${1:-}" = race ]; then
 	race
@@ -81,6 +82,19 @@ if git grep -nE 'encod[e]\(\) \*ber\.Element|\.elemen[t]\(\)' -- 'internal/ldap/
 	echo "check.sh: an element-tree LDAP encoder is back (see the matches above)" >&2
 	exit 1
 fi
+# One device-failure path: a failed device apply always goes to the outbox,
+# which journals record frames under the data dir at the shipped policy.
+# The outbox switch, its policy knobs, the apply-timeout branch and their
+# flags must not come back in non-test code, the scripts or the README, and
+# the outbox must not go back to JSON lines (letters bracketed as above).
+if git grep -nE 'Outbox[C]onfig|Apply[T]imeout|outbox-[d]ir|outbox-[r]etries|outbox-[b]ackoff' -- '*.go' scripts/ README.md ':!*_test.go'; then
+	echo "check.sh: a deleted outbox knob is back (see the matches above)" >&2
+	exit 1
+fi
+if git grep -nE '"encoding/[j]son"' -- 'internal/um/*.go' ':!*_test.go'; then
+	echo "check.sh: internal/um encodes JSON again (see the matches above)" >&2
+	exit 1
+fi
 # Multi-master replication smoke: a two-node mesh, a write accepted on each
 # side, and a conflicting same-DN write — both trees must converge.
 go test -run TestMultiMasterWritesAnywhereConverge -count=1 .
@@ -100,6 +114,7 @@ go test -fuzz=FuzzParse -fuzztime=10s ./internal/lexpress/
 go test -fuzz=FuzzCompilePattern -fuzztime=10s ./internal/lexpress/
 go test -fuzz=FuzzPatternMatch -fuzztime=10s ./internal/lexpress/
 go test -fuzz=FuzzJournalV2Record -fuzztime=10s ./internal/record/
+go test -fuzz=FuzzOutboxRecord -fuzztime=10s ./internal/um/
 go test -fuzz=FuzzReplicaStream -fuzztime=10s ./internal/replica/
 go test -run '^$' -bench . -benchtime=1x . ./internal/um/
 # Wire-path load-generator smoke: spawn an in-process system, drive it for

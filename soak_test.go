@@ -146,8 +146,9 @@ func TestConvergenceSoak(t *testing.T) {
 // seeded random schedule. When the flapping stops, the test asserts the
 // paper's guarantee end to end: the outbox backlog drains to zero, no
 // update that the directory accepted is lost, and directory, PBX, and
-// messaging platform converge three ways. The RNG seed is logged so a
-// failing schedule can be replayed exactly.
+// messaging platform converge three ways. The outbox runs its shipped
+// retry policy. The RNG seed is logged so a failing schedule can be
+// replayed exactly.
 func TestDeviceFlapChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
@@ -155,13 +156,7 @@ func TestDeviceFlapChaosSoak(t *testing.T) {
 	seed := time.Now().UnixNano()
 	t.Logf("chaos seed: %d", seed)
 
-	s := startSystem(t, metacomm.Config{
-		Outbox: metacomm.OutboxConfig{
-			Enable:      true,
-			BaseBackoff: 2 * time.Millisecond,
-			MaxBackoff:  20 * time.Millisecond,
-		},
-	})
+	s := startSystem(t, metacomm.Config{})
 	setup := client(t, s)
 
 	const people = 6

@@ -2,6 +2,8 @@ package metacomm_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +17,7 @@ import (
 	"metacomm/internal/ldapserver"
 	"metacomm/internal/lexpress"
 	"metacomm/internal/mcschema"
+	"metacomm/internal/record"
 	"metacomm/internal/replica"
 	"metacomm/internal/um"
 )
@@ -420,24 +423,29 @@ func TestDDURenameBecomesModifyRDNPair(t *testing.T) {
 	}
 }
 
-// TestDeviceFailureIsLoggedToDirectory: a failed device update aborts, is
-// recorded under ou=errors, and the administrator can browse it (§4.4).
+// TestDeviceFailureIsLoggedToDirectory: an update a device persistently
+// rejects is recorded under ou=errors, and the administrator can browse it
+// (§4.4). The fan-out apply, the outbox's replay and its targeted repair
+// all fail with the device up, so the outbox gives the update up — what
+// MetaComm cannot reconcile by itself is what the administrator sees.
 func TestDeviceFailureIsLoggedToDirectory(t *testing.T) {
 	s := startSystem(t, metacomm.Config{})
 	c := client(t, s)
-	s.MP.Store.FailNext("mailbox quota exhausted")
+	s.MP.Store.SetFailRate(1, 1)
 	if err := c.Add(johnDN, johnDoeAttrs()); err != nil {
 		t.Fatal(err) // the LDAP side and PBX still succeed
 	}
-	errs, err := s.UM.Errors()
-	if err != nil {
-		t.Fatal(err)
-	}
+	var errs []*ldapclient.Entry
+	waitFor(t, "the error entry", func() bool {
+		var err error
+		errs, err = s.UM.Errors()
+		return err == nil && len(errs) > 0
+	})
 	if len(errs) != 1 {
 		t.Fatalf("errors logged = %d", len(errs))
 	}
 	e := errs[0]
-	if e.First("mcErrorTarget") != "msgplat" || !strings.Contains(e.First("mcErrorMessage"), "quota") {
+	if e.First("mcErrorTarget") != "msgplat" || !strings.Contains(e.First("mcErrorMessage"), "injected transient failure") {
 		t.Errorf("error entry = %v", e.Attributes)
 	}
 	// PBX was still updated (per-device abort, not global).
@@ -577,10 +585,11 @@ func TestWriteWriteRaceConverges(t *testing.T) {
 	})
 }
 
-// TestDeviceOutageAndRepair: a device that is down during fanout gets the
-// error logged; after it returns, a synchronization pass repairs the gap —
-// the paper's recovery story for "catastrophic communication or storage
-// errors" (§4).
+// TestDeviceOutageAndRepair: a device that is down during fanout misses
+// the update; once it returns, the outbox replays it with no administrator
+// action, so a later directory-wins synchronization pass — the paper's
+// recovery story for "catastrophic communication or storage errors" (§4) —
+// finds nothing left to repair.
 func TestDeviceOutageAndRepair(t *testing.T) {
 	s := startSystem(t, metacomm.Config{})
 	c := client(t, s)
@@ -599,35 +608,101 @@ func TestDeviceOutageAndRepair(t *testing.T) {
 	if e.First("roomNumber") != "OUTAGE-1" {
 		t.Fatal("directory update lost during device outage")
 	}
-	errs, err := s.UM.Errors()
-	if err != nil || len(errs) == 0 {
-		t.Fatalf("outage not logged: %d, %v", len(errs), err)
+	if s.UM.OutboxBacklog() == 0 {
+		t.Fatal("test premise broken: the failed apply was not queued")
 	}
-
-	// The PBX is stale.
-	s.PBX.Store.SetDown(false)
 	station, _ := s.PBX.Store.Get("2-9000")
 	if station.First("room") == "OUTAGE-1" {
 		t.Fatal("test premise broken: device saw the update")
 	}
 
-	// Repair by synchronization. The DEVICE was the side that was cut
-	// off, so the administrator runs the directory-wins pass.
+	// The PBX returns and converges without anyone running a repair.
+	s.PBX.Store.SetDown(false)
+	waitFor(t, "the outbox to replay the missed update", func() bool {
+		station, err := s.PBX.Store.Get("2-9000")
+		return err == nil && station.First("room") == "OUTAGE-1" && s.UM.OutboxBacklog() == 0
+	})
+	if errs, err := s.UM.Errors(); err != nil || len(errs) != 0 {
+		t.Errorf("outage logged for the administrator: %d, %v", len(errs), err)
+	}
+
+	// The directory-wins pass an administrator would run finds the device
+	// already converged.
 	stats, err := s.UM.SynchronizeWithPolicy("pbx", um.DirectoryWins)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.DeviceMods != 1 {
-		t.Errorf("stats = %+v", stats)
-	}
-	station, _ = s.PBX.Store.Get("2-9000")
-	if station.First("room") != "OUTAGE-1" {
-		t.Errorf("device not repaired: room = %q", station.First("room"))
+	if stats.DeviceMods != 0 {
+		t.Errorf("stats = %+v, want DeviceMods 0", stats)
 	}
 	// The directory keeps its (newer) state.
 	e, _ = c.SearchOne(&ldap.SearchRequest{BaseDN: johnDN, Scope: ldap.ScopeBaseObject})
 	if e.First("roomNumber") != "OUTAGE-1" {
 		t.Error("directory state regressed")
+	}
+}
+
+// TestOutboxDrainsAfterRestartFromDataDir: an update a down device missed
+// is journaled under <DataDir>/outbox and outlives the process; the
+// restarted node replays it into its device with no synchronization pass.
+func TestOutboxDrainsAfterRestartFromDataDir(t *testing.T) {
+	dataDir := t.TempDir()
+	s, err := metacomm.Start(metacomm.Config{DataDir: dataDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := s.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Add(johnDN, johnDoeAttrs()); err != nil {
+		t.Fatal(err)
+	}
+	s.PBX.Store.SetDown(true)
+	if err := c.Modify(johnDN, []ldap.Change{{Op: ldap.ModReplace,
+		Attribute: ldap.Attribute{Type: "roomNumber", Values: []string{"RESTART-1"}}}}); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	s.Close()
+	if fi, err := os.Stat(filepath.Join(dataDir, "outbox", "pbx.outbox")); err != nil || fi.Size() == 0 {
+		t.Fatalf("no journaled backlog under the data dir: %v", err)
+	}
+
+	// The restarted node's PBX simulator starts empty: the replayed modify
+	// finds no station, and the outbox's targeted repair provisions it from
+	// the directory.
+	s2 := startSystem(t, metacomm.Config{DataDir: dataDir})
+	waitFor(t, "the journaled update to drain", func() bool {
+		station, err := s2.PBX.Store.Get("2-9000")
+		return err == nil && station.First("room") == "RESTART-1" && s2.UM.OutboxBacklog() == 0
+	})
+	if errs, err := s2.UM.Errors(); err != nil || len(errs) != 0 {
+		t.Errorf("error entries after the drain: %d, %v", len(errs), err)
+	}
+}
+
+// TestCorruptOutboxJournalRefusesStart: a complete outbox frame that fails
+// its checksum stops metacomm.Start, as a corrupt directory journal does,
+// naming the file.
+func TestCorruptOutboxJournalRefusesStart(t *testing.T) {
+	dataDir := t.TempDir()
+	path := filepath.Join(dataDir, "outbox", "pbx.outbox")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	frame := record.AppendFrame(nil, []byte{record.ControlBase + 1, 7}) // ack of seq 7
+	frame[3] ^= 0xff
+	if err := os.WriteFile(path, frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := metacomm.Start(metacomm.Config{DataDir: dataDir})
+	if err == nil {
+		s.Close()
+		t.Fatal("Start accepted a corrupt outbox journal")
+	}
+	if !strings.Contains(err.Error(), path) {
+		t.Errorf("Start error does not name %s: %v", path, err)
 	}
 }
 
